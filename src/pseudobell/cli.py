@@ -20,7 +20,13 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .biortho import DegenerateSpectrum, bases_from_config, basis_from_alpha, parse_config
+from .biortho import (
+    BiorthoBasis,
+    DegenerateSpectrum,
+    bases_from_config,
+    basis_from_alpha,
+    parse_config,
+)
 from .constructor import (
     SAME_THETA_VARIANTS,
     UnknownName,
@@ -129,10 +135,6 @@ def cmd_solve(args) -> int:
 
 
 def _angles_from_args(args, n_sites: int) -> list[float]:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        return [b.alpha for b in bases_from_config(cfg, n_sites)]
     if args.s is not None or args.delta is not None:
         if args.s is None or args.delta is None:
             raise SystemExit2("case-b parameterization needs both --s and --delta")
@@ -171,27 +173,42 @@ def _closed_form_for(name: str, measure: str, angles: list[float],
     return None
 
 
-def _measure_value(name: str, measure: str, angles: list[float]) -> float:
+def _measure_value(name: str, measure: str, angles: list[float],
+                   bases: list[BiorthoBasis] | None = None) -> float:
+    """The measure on the given site bases, or on skew-1 bases at `angles`."""
     entry = catalog(name)
     state = build_state(entry.weight, entry.spec)
-    if measure == "concurrence":
-        if state.n_sites != 2:
-            raise SystemExit2(f"{name} is not a two-site state")
-        bases = [basis_from_alpha(a) for a in angles]
-        return concurrence(normalize(embed(state, bases)))
-    if state.n_sites != 3:
-        raise SystemExit2(f"{name} is not a three-site state")
-    bases = [basis_from_alpha(a) for a in angles]
-    return average_entropy(embed(state, bases))
+    sites, word = (2, "two") if measure == "concurrence" else (3, "three")
+    if state.n_sites != sites:
+        raise SystemExit2(f"{name} is not a {word}-site state")
+    vec = embed(state, bases or [basis_from_alpha(a) for a in angles])
+    return concurrence(normalize(vec)) if sites == 2 else average_entropy(vec)
+
+
+def _config_bases(path: str, n_sites: int) -> tuple[list[BiorthoBasis], bool]:
+    """Site bases from a config file, and whether every site has s = t.
+
+    The closed forms hold for the symmetric (s = t) family only."""
+    with open(path) as fh:
+        cfg = parse_config(fh.read())
+    bases = bases_from_config(cfg, n_sites)
+    symmetric = all(f"alpha{i}" in cfg or cfg[f"s{i}"] == cfg[f"t{i}"]
+                    for i in range(1, n_sites + 1))
+    return bases, symmetric
 
 
 def cmd_measure(args) -> int:
     entry = catalog(args.name)
     state_sites = entry.spec.n_sites
-    angles = _angles_from_args(args, state_sites)
+    bases, symmetric = None, True
+    if args.config:
+        bases, symmetric = _config_bases(args.config, state_sites)
+        angles = [b.alpha for b in bases]
+    else:
+        angles = _angles_from_args(args, state_sites)
     case_b = (args.s, args.delta) if args.s is not None and args.delta is not None else None
-    value = _measure_value(args.name, args.measure, angles)
-    closed = _closed_form_for(args.name, args.measure, angles, case_b)
+    value = _measure_value(args.name, args.measure, angles, bases)
+    closed = _closed_form_for(args.name, args.measure, angles, case_b) if symmetric else None
     inputs = {f"alpha{i + 1}": angles[i] for i in range(state_sites)}
     if case_b is not None:
         inputs.update({"s": args.s, "delta": args.delta})
@@ -308,7 +325,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    return verify_mod.run_all(inject_fault=args.inject_fault)
+    return verify_mod.run_all()
 
 
 # -- argument plumbing -----------------------------------------------------------
@@ -321,7 +338,6 @@ def _add_angle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha3", type=parse_angle)
     p.add_argument("--s", type=float, help="case-b coupling (with --delta)")
     p.add_argument("--delta", type=float, help="case-b decay rate (with --s)")
-    p.add_argument("--config", help="key-value parameter file (alpha<i> or r<i>,s<i>,t<i>,beta<i>)")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -357,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=("concurrence", "avg_entropy"), required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_angle_flags(p)
+    p.add_argument("--config", help="key-value parameter file (alpha<i> or r<i>,s<i>,t<i>,beta<i>)")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="grid-evaluate a measure and write CSV figure data")
@@ -371,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the one-shot verification suite")
-    p.add_argument("--inject-fault", default=None, metavar="NAME",
-                   help="testing aid: flip the stored weight sign of one entry")
     p.set_defaults(func=cmd_verify)
 
     return parser

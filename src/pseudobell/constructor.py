@@ -146,10 +146,6 @@ class StateVector:
     def __rmul__(self, scalar: complex) -> "StateVector":
         return StateVector({labels: scalar * c for labels, c in self.terms.items()})
 
-    def almost_equal(self, other: "StateVector", tol: float = 1e-12) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= tol for k in keys)
-
     def sorted_terms(self):
         def key(item):
             labels, _ = item
@@ -312,9 +308,6 @@ def solve_weight(target: StateVector, spec: ProductSpec) -> GrassmannElement:
         row += 1
     bad = [i for i in range(row, n_rows) if b[i] != _QZERO]
     if bad:
-        back = {}
-        for i in range(row):
-            back[i] = rows[i]
         names = ", ".join("|" + "".join(str(l) for l in rows[i]) + "⟩" for i in bad)
         raise Unreachable(f"target not reachable; inconsistent components: {names}",
                           tuple(rows[i] for i in bad))

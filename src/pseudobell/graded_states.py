@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .biortho import BiorthoBasis
-from .grassmann import Generator, GrassmannElement, format_complex
+from .grassmann import Generator, GrassmannElement
 
 _FAMILY_GLYPH = {"psi": "ψ", "phi": "φ"}
 
@@ -312,15 +312,3 @@ def same_family_resolution_residual(basis: BiorthoBasis, family: str = "psi") ->
     """
     r = resolution_integral(basis, family, family)
     return float(np.max(np.abs(r - np.eye(2))))
-
-
-def state_vector_from_labels(labels: LabelTuple, bases: Mapping[int, BiorthoBasis]) -> np.ndarray:
-    """Kronecker product of the numeric vectors for one label tuple."""
-    vec = np.array([1.0 + 0j])
-    for lab in labels:
-        vec = np.kron(vec, bases[lab.site].vector(lab.family, lab.level))
-    return vec
-
-
-def pretty_coefficient(c: complex) -> str:
-    return format_complex(c)

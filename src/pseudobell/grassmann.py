@@ -253,6 +253,9 @@ class GrassmannElement:
         return self.terms == other.terms
 
     def __hash__(self):
+        # scalars compare equal to plain numbers, so they must hash alike
+        if self.is_scalar():
+            return hash(self.scalar_part())
         return hash(frozenset(self.terms.items()))
 
     # -- conjugation and Berezin integration --------------------------------
@@ -355,15 +358,6 @@ def _format_term(c: complex, mono: str, first: bool) -> str:
     if first:
         return ("-" if negated else "") + body
     return (" - " if negated else " + ") + body
-
-
-def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Graded product a*b (operator form of ``a * b``)."""
-    return a * b
-
-
-def conjugate(a: GrassmannElement) -> GrassmannElement:
-    return a.conjugate()
 
 
 def berezin_integrate(f: GrassmannElement, g: Generator) -> GrassmannElement:

@@ -1,304 +1,82 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each a call into ``pseudobell.verify``.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-report.  Grid points where the biorthonormal basis is degenerate
-(|cos alpha| ~ 0, normalization 1/sqrt(2 cos alpha) undefined) are skipped
-with the count reported; the closed forms cover those limits.
+``pseudobell verify`` runs the same check functions at the sparser densities
+set in ``pseudobell.verify``; these tests pass denser grids and more cases.
+Each test asserts that the check passed and how many points it evaluated, so
+a grid cannot shrink silently.  Run with ``pytest -s tests/test_acceptance.py``
+to see each check's line.
 """
 
-import itertools
-import math
-import random
+from dataclasses import replace
 
-import numpy as np
-
-from pseudobell.biortho import (
-    SystemParams,
-    basis_from_alpha,
-    check_pseudo_hermiticity,
-    eigenbasis,
-    ladder_ops,
-)
-from pseudobell.constructor import (
-    all_biseparable,
-    build_state,
-    catalog,
-    catalog_entries,
-    solve_weight,
-)
-from pseudobell.entanglement import (
-    average_entropy,
-    average_entropy_closed_form,
-    average_entropy_equal_alpha,
-    case_b_alpha,
-    case_b_concurrence,
-    concurrence,
-    concurrence_closed_form,
-    dominant_pair_state,
-    embed,
-    normalize,
-    schmidt_ratio,
-)
-from pseudobell.graded_states import (
-    bi_overcompleteness,
-    coherent_state,
-    same_family_resolution_residual,
-)
-from pseudobell.grassmann import GrassmannElement, theta, theta_bar
+from pseudobell import verify
+from pseudobell.constructor import all_biseparable, catalog, catalog_entries
 
 
-def _report(num, text):
-    print(f"\n[criterion {num:2d}] PASS - {text}")
+def _check(result, points):
+    print(f"\n{result.line()}")
+    assert result.passed, result.line()
+    assert result.points == points
 
 
 def test_criterion_01_table_fidelity():
-    entries = catalog_entries()
-    assert len(entries) == 48
-    for entry in entries + catalog_entries(include_variants=True)[48:]:
-        built = build_state(entry.weight, entry.spec)
-        assert built == entry.expected, entry.name
-        for c in built.terms.values():
-            assert c.imag == 0 and c.real == int(c.real)
+    assert len(catalog_entries()) == 48
     assert catalog("G7+").note  # the tabulation discrepancy is logged
-    _report(1, "48 catalog entries (plus 4 same-generator variants) build "
-               "exactly to their tabulated states; G7 correction noted")
+    _check(verify.table_fidelity(), 52)
+
+
+def test_table_fidelity_flags_a_sign_flipped_entry():
+    entries = [replace(e, weight=-e.weight) if e.name == "B1-" else e
+               for e in catalog_entries(include_variants=True)]
+    result = verify.table_fidelity(entries)
+    assert not result.passed
+    assert result.residual == 1
+    assert "B1-" in result.detail
 
 
 def test_criterion_02_round_trip():
-    entries = catalog_entries(include_variants=True)
-    for entry in entries:
-        assert solve_weight(entry.expected, entry.spec) == entry.weight, entry.name
-        assert build_state(solve_weight(entry.expected, entry.spec),
-                           entry.spec) == entry.expected, entry.name
-    _report(2, f"solve_weight/build_state round trip exact on {len(entries)} entries")
+    _check(verify.round_trip(), 52)
 
 
 def test_criterion_03_concurrence_formulas():
-    grid = np.linspace(0, 2 * math.pi, 21, endpoint=False)
-    worst = 0.0
-    skipped = 0
-    for name in ("B1-", "B2-", "B3-", "B4-"):
-        entry = catalog(name)
-        state = build_state(entry.weight, entry.spec)
-        for a1 in grid:
-            for a2 in grid:
-                s1s2 = math.sin(a1) * math.sin(a2)
-                if min(abs(1 - s1s2), abs(1 + s1s2)) < 1e-8:
-                    skipped += 1
-                    continue
-                vec = normalize(embed(state, [basis_from_alpha(a1),
-                                              basis_from_alpha(a2)]))
-                worst = max(worst, abs(concurrence(vec)
-                                       - concurrence_closed_form(name, a1, a2)))
-    assert worst <= 1e-10
-    equal_worst = 0.0
-    for name in ("B1-", "B4-"):
-        entry = catalog(name)
-        state = build_state(entry.weight, entry.spec)
-        for a in grid:
-            vec = normalize(embed(state, [basis_from_alpha(a)] * 2))
-            equal_worst = max(equal_worst, abs(concurrence(vec) - 1.0))
-    assert equal_worst <= 1e-12
-    _report(3, f"B- concurrences match |cos a1 cos a2/(1 -/+ sin a1 sin a2)| on a "
-               f"21x21 grid (max dev {worst:.1e}, {skipped} singular points excluded); "
-               f"equal-angle B1-/B4- give C=1 (max dev {equal_worst:.1e})")
+    # 16 members on the 21 x 21 grid, plus B1-/B4- on the 21-point diagonal
+    _check(verify.concurrence_forms(21), 16 * 21 * 21 + 2 * 21)
 
 
 def test_criterion_04_case_b():
-    entry = catalog("B2-")
-    state = build_state(entry.weight, entry.spec)
-    worst = 0.0
-    skipped = []
-    for s in np.linspace(1, 2, 21):
-        for delta in np.linspace(-2, 2, 21):
-            alpha = case_b_alpha(s, delta)
-            if abs(math.cos(alpha)) < 1e-9:
-                # s=1, delta=+/-2: sin(alpha) = -/+1 exactly, basis undefined;
-                # the closed form gives C = 0 there
-                skipped.append((s, delta))
-                continue
-            vec = normalize(embed(state, [basis_from_alpha(alpha)] * 2))
-            worst = max(worst, abs(concurrence(vec) - case_b_concurrence(s, delta)))
-    assert worst <= 1e-10
-    along_zero = 0.0
-    for s in np.linspace(1, 2, 21):
-        vec = normalize(embed(state, [basis_from_alpha(case_b_alpha(s, 0.0))] * 2))
-        along_zero = max(along_zero, abs(concurrence(vec) - 1.0))
-    assert along_zero <= 1e-10
-    _report(4, f"case-b concurrence matches |4s^2-d^2|/(4s^2+d^2) on the 21x21 grid "
-               f"(max dev {worst:.1e}; {len(skipped)} exactly-degenerate corners "
-               f"skipped); C=1 along delta=0 (max dev {along_zero:.1e})")
+    # s = 1, delta = +/-2 are exactly degenerate; the delta = 0 line adds 21
+    result = verify.case_b(21)
+    _check(result, 21 * 21 - 2 + 21)
+    assert len(result.skipped) == 2
 
 
 def test_criterion_05_average_entropy():
-    g_entry = catalog("G1+")
-    g_state = build_state(g_entry.weight, g_entry.spec)
-    grid3 = np.linspace(0, 2 * math.pi, 9, endpoint=False)
-    worst3 = 0.0
-    for a1, a2, a3 in itertools.product(grid3, repeat=3):
-        vec = embed(g_state, [basis_from_alpha(a) for a in (a1, a2, a3)])
-        worst3 = max(worst3, abs(average_entropy(vec)
-                                 - average_entropy_closed_form("G", a1, a2, a3)))
-    assert worst3 <= 1e-10
-
-    w7 = catalog("W7")
-    w6 = catalog("W6-+-")
-    states = {"G": g_state,
-              "W7": build_state(w7.weight, w7.spec),
-              "W6": build_state(w6.weight, w6.spec)}
-    line = np.linspace(0, 2 * math.pi, 201)
-    worst_eq = 0.0
-    skipped = 0
-    for name, state in states.items():
-        for a in line:
-            if abs(math.cos(a)) < 1e-9:
-                skipped += 1  # pipeline degenerate; closed form covers the limit
-                continue
-            vec = embed(state, [basis_from_alpha(a)] * 3)
-            worst_eq = max(worst_eq, abs(average_entropy(vec)
-                                         - average_entropy_equal_alpha(name, a)))
-    assert worst_eq <= 1e-10
-
-    for k in range(3):
-        assert abs(average_entropy_equal_alpha("G", k * math.pi) - 1.0) <= 1e-10
-        assert abs(average_entropy_equal_alpha("W7", k * math.pi) - 8 / 9) <= 1e-10
-        assert abs(average_entropy_equal_alpha("W6", k * math.pi) - 8 / 9) <= 1e-10
-        odd = (2 * k + 1) * math.pi / 2
-        assert abs(average_entropy_equal_alpha("G", odd)) <= 1e-10
-        assert abs(average_entropy_equal_alpha("W7", odd)) <= 1e-10
-        assert abs(average_entropy_equal_alpha("W6", odd)) <= 1e-10
-    _report(5, f"<S_L> matches the three-angle G form on 9^3 points "
-               f"(max dev {worst3:.1e}) and the equal-angle G/W7/W6 forms on 201 "
-               f"points (max dev {worst_eq:.1e}, {skipped} degenerate points "
-               f"skipped); extrema 1, 8/9 at k*pi and 0 at (2k+1)*pi/2 confirmed")
+    # alpha = pi/2 and 3pi/2 lie on the 201-point line and are skipped
+    result = verify.entropy_forms(9, 201)
+    _check(result, 9 ** 3 + 3 * (201 - 2))
+    assert len(result.skipped) == 6
 
 
 def test_criterion_06_ghz_family_degeneracy():
-    rng = random.Random(101)
-    names = [f"G{j}{s}" for j in range(1, 9) for s in "+-"]
-    states = [build_state(catalog(n).weight, catalog(n).spec) for n in names]
-    spread = 0.0
-    for _ in range(50):
-        alphas = []
-        while len(alphas) < 3:
-            a = rng.uniform(0, 2 * math.pi)
-            if abs(math.cos(a)) > 0.05:
-                alphas.append(a)
-        bases = [basis_from_alpha(a) for a in alphas]
-        values = [average_entropy(embed(state, bases)) for state in states]
-        spread = max(spread, max(values) - min(values))
-    assert spread <= 1e-10
-    _report(6, f"all 16 G entries give identical <S_L> at 50 random angle triples "
-               f"(max spread {spread:.1e})")
+    _check(verify.ghz_degeneracy(50), 50)
 
 
 def test_criterion_07_structure_checks():
-    worst = 0.0
-    count = 0
-    for r, s, t in itertools.product((0.5, 1.0, 2.0), repeat=3):
-        for beta in (0.0, 0.3, -0.3, 1.0, -1.0):
-            if abs(r * math.sin(beta)) >= math.sqrt(s * t) - 1e-9:
-                continue
-            p = SystemParams(r, s, t, beta)
-            b = eigenbasis(p)
-            psis, phis = (b.psi0, b.psi1), (b.phi0, b.phi1)
-            for i in range(2):
-                for j in range(2):
-                    worst = max(worst, abs(np.vdot(phis[i], psis[j]) - (i == j)))
-            eye = sum(np.outer(psis[i], phis[i].conj()) for i in range(2))
-            worst = max(worst, float(np.max(np.abs(eye - np.eye(2)))))
-            worst = max(worst, float(np.max(np.abs(b.eta @ psis[0] - phis[0]))))
-            worst = max(worst, float(np.max(np.abs(b.eta @ psis[1] - phis[1]))))
-            worst = max(worst, float(np.max(np.abs(b.eta @ b.eta_inv - np.eye(2)))))
-            worst = max(worst, check_pseudo_hermiticity(p))
-            count += 1
-    assert worst <= 1e-12
-
-    overc = 0.0
-    for alpha in (0.0, 0.3, 0.5, -0.8, 1.2):
-        holds, residual = bi_overcompleteness(basis_from_alpha(alpha))
-        assert holds
-        overc = max(overc, residual)
-    assert overc <= 1e-12
-    gap = same_family_resolution_residual(basis_from_alpha(0.5), "psi")
-    assert gap >= 0.01
-    _report(7, f"biorthonormality/completeness/metric residuals {worst:.1e} over "
-               f"{count} parameter points; bi-overcompleteness residual {overc:.1e}; "
-               f"|theta><theta| integral off identity by {gap:.3f} at alpha=0.5")
+    # 111 non-degenerate points of the 3x3x3x5 (r, s, t, beta) grid, 5 angles
+    result = verify.structure()
+    _check(result, 111 + 5)
+    assert len(result.skipped) == 3 * 3 * 3 * 5 - 111
 
 
 def test_criterion_08_coherent_eigenvalue_identity():
-    th = GrassmannElement.word(theta(1))
-    for family in ("psi", "phi"):
-        ket = coherent_state(1, theta(1), family)
-        assert ket.apply_lowering(1, family) == ket.premultiply(th)
-        assert not ket.apply_lowering(1, family).is_zero()
-    worst = 0.0
-    for r, s, t in itertools.product((0.5, 1.0, 2.0), repeat=3):
-        for beta in (0.0, 0.3, -0.3, 1.0, -1.0):
-            if abs(r * math.sin(beta)) >= math.sqrt(s * t) - 1e-9:
-                continue
-            b = eigenbasis(SystemParams(r, s, t, beta))
-            ops = ladder_ops(b)
-            worst = max(worst, float(np.max(np.abs(ops.b @ b.psi1 - b.psi0))))
-            worst = max(worst, float(np.max(np.abs(ops.b @ b.psi0))))
-            worst = max(worst, float(np.max(np.abs(ops.b_tilde @ b.phi1 - b.phi0))))
-            worst = max(worst, float(np.max(np.abs(ops.b_tilde @ b.phi0))))
-    assert worst <= 1e-12
-    _report(8, f"b|theta> = theta|theta> holds exactly in label space for both "
-               f"families; numeric ladder residual {worst:.1e} on the grid")
+    _check(verify.coherent_eigenvalue(), 2)
 
 
 def test_criterion_09_biseparability():
-    alpha = 0.5
-    bases = [basis_from_alpha(alpha)] * 3
-    worst_ratio = 0.0
-    for c in all_biseparable():
-        vec = embed(build_state(c.weight, c.spec), bases)
-        worst_ratio = max(worst_ratio, schmidt_ratio(vec, [c.factor_site]))
-    assert worst_ratio < 1e-12
-    pair_dev = 0.0
-    for pair_name, partition, primed, sign in (
-            ("B1-", 1, False, -1), ("B'1+", 1, True, 1), ("B1-", 2, False, -1)):
-        from pseudobell.constructor import biseparable
-        c = biseparable(partition, sign, primed=primed)
-        assert c.pair_name == pair_name
-        vec = embed(build_state(c.weight, c.spec), bases)
-        pair = dominant_pair_state(vec, c.factor_site)
-        pair_dev = max(pair_dev, abs(concurrence(pair) - 1.0))
-    assert pair_dev <= 1e-10
-    _report(9, f"all three constructions factorize (max schmidt ratio "
-               f"{worst_ratio:.1e}); maximally entangled branches give pair "
-               f"concurrence 1 (max dev {pair_dev:.1e}) at equal alpha")
+    assert sorted(c.pair_name for c in all_biseparable()) == \
+        ["B'1+", "B'1-", "B1+", "B1+", "B1-", "B1-"]
+    _check(verify.biseparability(), 6)
 
 
 def test_criterion_10_grassmann_property_suite():
-    rng = random.Random(2024)
-    gens = [theta(i) for i in (1, 2)] + [theta_bar(i) for i in (1, 2)]
-
-    def rand_el():
-        out = GrassmannElement.zero()
-        for _ in range(rng.randrange(5)):
-            word = rng.sample(gens, rng.randrange(len(gens) + 1))
-            out = out + GrassmannElement.word(
-                *word, coeff=complex(rng.randrange(-4, 5), rng.randrange(-4, 5)))
-        return out
-
-    cases = 0
-    for _ in range(1100):
-        a, b, c = rand_el(), rand_el(), rand_el()
-        g, h = rng.sample(gens, 2)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert GrassmannElement.word(g) * GrassmannElement.word(h) == \
-            -(GrassmannElement.word(h) * GrassmannElement.word(g))
-        assert (GrassmannElement.word(g) * GrassmannElement.word(g)).is_zero()
-        assert a.berezin(g).berezin(g).is_zero()
-        za = complex(rng.randrange(-3, 4), rng.randrange(-3, 4))
-        zb = complex(rng.randrange(-3, 4), rng.randrange(-3, 4))
-        assert (za * a + zb * b).berezin(g) == za * a.berezin(g) + zb * b.berezin(g)
-        cases += 1
-    assert cases >= 1000
-    _report(10, f"algebra laws (anticommutativity, nilpotency, associativity, "
-                f"Berezin linearity, double-integral vanishing) on {cases} "
-                f"randomized cases")
+    _check(verify.grassmann_laws(1100), 1100)

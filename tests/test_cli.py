@@ -1,9 +1,15 @@
 import json
 import math
 
+from dataclasses import replace
+
 import pytest
 
+from pseudobell import verify
+from pseudobell.biortho import basis_from_alpha
 from pseudobell.cli import main, parse_angle
+from pseudobell.constructor import catalog, catalog_entries
+from pseudobell.entanglement import concurrence, embed, normalize
 
 
 def run(capsys, *argv):
@@ -143,6 +149,31 @@ def test_measure_config_file(tmp_path, capsys):
     assert abs(json.loads(out)["value"] - 1 / 3) < 1e-6
 
 
+def test_measure_config_honours_skew(tmp_path, capsys):
+    # s = 1, t = 4 (skew 2) at alpha = 0.4 on both sites; no closed form
+    # covers s != t, so none is reported
+    cfg = tmp_path / "skew.cfg"
+    cfg.write_text("".join(f"r{i} = 2\ns{i} = 1\nt{i} = 4\nbeta{i} = 0.4\n" for i in (1, 2)))
+    code, out, _ = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                       "--config", str(cfg), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    bases = [basis_from_alpha(0.4, skew=2.0)] * 2
+    state = catalog("B2-").expected
+    assert payload["value"] == pytest.approx(concurrence(normalize(embed(state, bases))),
+                                             abs=1e-12)
+    assert payload["value"] == pytest.approx(0.3726, abs=1e-4)
+    assert "closed_form" not in payload and "abs_diff" not in payload
+
+
+def test_sweep_rejects_config(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--name", "B2-", "--measure", "concurrence", "--var", "alpha",
+              "--range", "0:1", "--out", "-", "--config", "/nonexistent.cfg"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
 def test_sweep_deterministic_and_correct(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -205,7 +236,12 @@ def test_verify_passes(capsys):
     assert "[skip]" in out  # degenerate grid points are reported, not hidden
 
 
-def test_verify_inject_fault_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--inject-fault", "B1-")
+def test_verify_reports_failed_check(capsys, monkeypatch):
+    entries = [replace(e, weight=-e.weight) if e.name == "B1-" else e
+               for e in catalog_entries(include_variants=True)]
+    table_fidelity = verify.table_fidelity
+    monkeypatch.setattr(verify, "table_fidelity", lambda: table_fidelity(entries))
+    code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "[FAIL] table-fidelity" in out
+    assert out.splitlines()[-1] == "1 check(s) FAILED"

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudobell.constructor import (
     ProductSpec,
@@ -226,3 +230,35 @@ def test_biseparable_validation():
         biseparable(2, 1, primed=True)
     with pytest.raises(ValueError):
         biseparable(1, 0)
+
+
+@st.composite
+def random_specs(draw):
+    """A product of up to 4 mixed-family sites, some sharing a generator, and a
+    weight with small integer coefficients over its measure generators."""
+    n_sites = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.integers(1, n_sites), min_size=n_sites, max_size=n_sites))
+    families = draw(st.lists(st.sampled_from(["psi", "phi"]),
+                             min_size=n_sites, max_size=n_sites))
+    used = sorted(set(gens))
+    measures = draw(st.permutations(used))
+    spec = ProductSpec(tuple(SiteFactor(f, theta(g)) for f, g in zip(families, gens)),
+                       tuple(theta(g) for g in measures))
+    monomials = [m for k in range(len(used) + 1) for m in itertools.combinations(used, k)]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monomials),
+                           max_size=len(monomials)))
+    weight = EL.zero()
+    for mono, c in zip(monomials, coeffs):
+        weight = weight + EL.word(*map(theta, mono), coeff=c)
+    return spec, weight
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(random_specs())
+def test_solve_weight_inverts_build_on_random_specs(case):
+    spec, weight = case
+    try:
+        target = build_state(weight, spec)
+    except ZeroState:
+        return  # the zero state is not a target
+    assert build_state(solve_weight(target, spec), spec) == target

@@ -181,3 +181,13 @@ def test_conjugation_is_involution():
     for _ in range(300):
         f = _random_element(rng, gens)
         assert f.conjugate().conjugate() == f
+
+
+def test_scalar_element_hashes_like_its_value():
+    # equal objects must hash equal, or set and dict lookups miss
+    assert EL.scalar(1) == 1
+    assert hash(EL.scalar(1)) == hash(1)
+    assert 1 in {EL.scalar(1)}
+    assert EL.scalar(2 + 3j) in {2 + 3j}
+    assert 0 in {EL.zero()}
+    assert len({EL.one(), EL.scalar(1.0), 1}) == 1
