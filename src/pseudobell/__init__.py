@@ -14,6 +14,7 @@ from .biortho import (
     SystemParams,
     bases_from_config,
     basis_from_alpha,
+    biortho,
     check_pseudo_hermiticity,
     eigenbasis,
     hamiltonian,

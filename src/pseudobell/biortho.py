@@ -34,6 +34,17 @@ TAU = 2.0 * math.pi
 #: below this |cos alpha| the 1/sqrt(2 cos alpha) normalization blows up
 DEGENERACY_TOL = 1e-10
 
+#: index of each family along the family axis of the site vectors
+FAMILIES = ("psi", "phi")
+
+# Component j of the flattened (family, level, component) site vectors is
+#   _SIGN[j] * skew**_SKEW_POWER[j] * exp(i _PHASE_SIGN[j] alpha/2) / sqrt(2 cos alpha):
+#   psi0 = (e+, k e-),  psi1 = (e-, -k e+),  phi0 = (e-, e+/k),  phi1 = (e+, -e-/k)
+# with e+- = exp(+-i alpha/2) and k = skew.
+_PHASE_SIGN = np.array([1, -1, -1, 1, -1, 1, 1, -1])
+_SKEW_POWER = np.array([0, 1, 0, 1, 0, -1, 0, -1])
+_SIGN = np.array([1, 1, 1, -1, 1, 1, 1, -1])
+
 
 class DegenerateSpectrum(ValueError):
     """Raised at the spectral degeneracy boundary |r sin beta| = sqrt(st)."""
@@ -59,22 +70,39 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class BiorthoBasis:
-    """Biorthonormal eigenpair {psi_k, phi_k} with metric eta, eta^{-1}."""
+    """Biorthonormal eigenpair {psi_k, phi_k} with metric eta, eta^{-1}.
+
+    ``vectors`` holds the four site vectors as [family, level, component],
+    family 0 = psi and 1 = phi, the layout ``biortho`` returns per point.
+    """
 
     alpha: float
-    psi0: np.ndarray
-    psi1: np.ndarray
-    phi0: np.ndarray
-    phi1: np.ndarray
+    vectors: np.ndarray
     eta: np.ndarray = field(repr=False)
     eta_inv: np.ndarray = field(repr=False)
 
+    @property
+    def psi0(self) -> np.ndarray:
+        return self.vectors[0, 0]
+
+    @property
+    def psi1(self) -> np.ndarray:
+        return self.vectors[0, 1]
+
+    @property
+    def phi0(self) -> np.ndarray:
+        return self.vectors[1, 0]
+
+    @property
+    def phi1(self) -> np.ndarray:
+        return self.vectors[1, 1]
+
     def vector(self, family: str, level: int) -> np.ndarray:
-        if family not in ("psi", "phi"):
+        if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if level not in (0, 1):
             raise ValueError(f"level must be 0 or 1, got {level}")
-        return getattr(self, f"{family}{level}")
+        return self.vectors[FAMILIES.index(family), level]
 
 
 def hamiltonian(p: SystemParams) -> np.ndarray:
@@ -96,50 +124,77 @@ def _mixing_angle(p: SystemParams) -> float:
     return math.asin(ratio)
 
 
-def basis_from_alpha(alpha: float, skew: float = 1.0) -> BiorthoBasis:
-    """Build the biorthonormal basis at a given mixing angle.
+def biortho(alpha, skew=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Site vectors of the biorthonormal basis at an array of mixing angles.
 
     Parameters
     ----------
     alpha:
-        Mixing angle in radians.  Reduced modulo 2*pi internally, so
-        sweeps over [0, 2*pi] and beyond stay consistent.
+        Mixing angles in radians, shape (G,).  Reduced modulo 2*pi
+        internally, so sweeps over [0, 2*pi] and beyond stay consistent.
     skew:
-        Asymmetry ratio sqrt(t/s); 1 for the symmetric (s = t) family.
+        Asymmetry ratio sqrt(t/s), a scalar or shape (G,); 1 for the
+        symmetric (s = t) family.
+
+    Returns
+    -------
+    vectors, degenerate:
+        ``vectors`` has shape (G, 2, 2, 2), indexed [point, family, level,
+        component] with family 0 = psi and 1 = phi.  ``degenerate`` (G,)
+        flags |cos alpha| < DEGENERACY_TOL, where the normalization diverges,
+        and NaN angles; those points hold NaN vectors.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    rem = np.fmod(alpha, TAU)
+    folded = rem - TAU * np.rint(rem / TAU)
+    cos_a = np.cos(folded)
+    degenerate = ~(np.abs(cos_a) >= DEGENERACY_TOL)   # NaN angles included
+    # evaluate degenerate points at alpha = 0, then blank them
+    norm = 1.0 / np.sqrt(np.where(degenerate, 2.0, 2.0 * cos_a).astype(complex))
+    phase = np.exp(0.5j * np.where(degenerate, 0.0, folded)[:, None] * _PHASE_SIGN)
+    scale = _SIGN * np.asarray(skew, dtype=float)[..., None] ** _SKEW_POWER
+    vectors = (norm[:, None] * scale * phase).reshape(-1, 2, 2, 2)
+    vectors[degenerate] = np.nan
+    return vectors, degenerate
+
+
+def basis_from_alpha(alpha: float, skew: float = 1.0) -> BiorthoBasis:
+    """The biorthonormal basis at one mixing angle: ``biortho`` at G = 1.
 
     Raises
     ------
     DegenerateSpectrum
         When |cos alpha| < 1e-10 and the normalization diverges.
     """
-    folded = math.remainder(alpha, TAU)
-    cos_a = math.cos(folded)
-    if abs(cos_a) < DEGENERACY_TOL:
+    vectors, degenerate = biortho(np.array([alpha]), skew)
+    if degenerate[0]:
         raise DegenerateSpectrum(
-            f"cos(alpha) = {cos_a:.3e} at alpha = {alpha:.6g}; "
+            f"|cos(alpha)| < {DEGENERACY_TOL:g} at alpha = {alpha:.6g}; "
             "the biorthonormal basis is undefined at the degeneracy boundary")
-    norm = 1.0 / np.sqrt(complex(2.0 * cos_a))
-    half = np.exp(0.5j * folded)
-    k = skew
-    psi0 = norm * np.array([half, k / half], dtype=complex)
-    psi1 = norm * np.array([1 / half, -k * half], dtype=complex)
-    phi0 = norm * np.array([1 / half, half / k], dtype=complex)
-    phi1 = norm * np.array([half, -1 / (k * half)], dtype=complex)
-    eta = np.outer(phi0, phi0.conj()) + np.outer(phi1, phi1.conj())
-    eta_inv = np.outer(psi0, psi0.conj()) + np.outer(psi1, psi1.conj())
-    return BiorthoBasis(alpha=alpha, psi0=psi0, psi1=psi1, phi0=phi0, phi1=phi1,
-                        eta=eta, eta_inv=eta_inv)
+    v = vectors[0]
+    # eta = sum_k |phi_k><phi_k|, eta^{-1} = sum_k |psi_k><psi_k|
+    eta = v[1].T @ v[1].conj()
+    eta_inv = v[0].T @ v[0].conj()
+    return BiorthoBasis(alpha=alpha, vectors=v, eta=eta, eta_inv=eta_inv)
+
+
+def site_params(p: SystemParams) -> tuple[float, float]:
+    """Mixing angle and skew sqrt(t/s) of H(p).
+
+    alpha is the principal arcsin of r sin(beta)/sqrt(st); raises
+    NonRealRegime beyond the |r sin beta| = sqrt(st) boundary.
+    """
+    skew = math.sqrt(p.t / p.s) if p.s > 0 else -math.sqrt(p.t / p.s)
+    return _mixing_angle(p), skew
 
 
 def eigenbasis(p: SystemParams) -> BiorthoBasis:
     """Biorthonormal eigenbasis of H(p) and H(p)^dag.
 
-    alpha is the principal arcsin of r sin(beta)/sqrt(st).  Raises
-    DegenerateSpectrum at the |r sin beta| = sqrt(st) boundary and
+    Raises DegenerateSpectrum at the |r sin beta| = sqrt(st) boundary and
     NonRealRegime beyond it.
     """
-    alpha = _mixing_angle(p)
-    skew = math.sqrt(p.t / p.s) if p.s > 0 else -math.sqrt(p.t / p.s)
+    alpha, skew = site_params(p)
     return basis_from_alpha(alpha, skew=skew)
 
 
@@ -197,18 +252,22 @@ def parse_config(text: str) -> dict[str, float]:
     return out
 
 
-def bases_from_config(cfg: dict[str, float], n_sites: int) -> list[BiorthoBasis]:
-    """Build one basis per site from a parsed config mapping."""
-    bases = []
+def config_sites(cfg: dict[str, float], n_sites: int) -> list[tuple[float, float]]:
+    """(alpha, skew) per site from a parsed config mapping."""
+    sites = []
     for i in range(1, n_sites + 1):
         if f"alpha{i}" in cfg:
-            bases.append(basis_from_alpha(cfg[f"alpha{i}"]))
+            sites.append((cfg[f"alpha{i}"], 1.0))
             continue
         quad = [f"r{i}", f"s{i}", f"t{i}", f"beta{i}"]
         if all(k in cfg for k in quad):
-            p = SystemParams(cfg[quad[0]], cfg[quad[1]], cfg[quad[2]], cfg[quad[3]])
-            bases.append(eigenbasis(p))
+            sites.append(site_params(SystemParams(*(cfg[k] for k in quad))))
             continue
         raise ValueError(
             f"site {i}: config needs either alpha{i} or all of r{i}, s{i}, t{i}, beta{i}")
-    return bases
+    return sites
+
+
+def bases_from_config(cfg: dict[str, float], n_sites: int) -> list[BiorthoBasis]:
+    """Build one basis per site from a parsed config mapping."""
+    return [basis_from_alpha(alpha, skew=skew) for alpha, skew in config_sites(cfg, n_sites)]

@@ -16,19 +16,15 @@ import json
 import math
 import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify as verify_mod
-from .biortho import (
-    BiorthoBasis,
-    DegenerateSpectrum,
-    bases_from_config,
-    basis_from_alpha,
-    parse_config,
-)
+from .biortho import DEGENERACY_TOL, DegenerateSpectrum, biortho, config_sites, parse_config
 from .constructor import (
     SAME_THETA_VARIANTS,
+    StateVector,
     UnknownName,
     build_state,
     catalog,
@@ -134,27 +130,94 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _angles_from_args(args, n_sites: int) -> list[float]:
-    if args.s is not None or args.delta is not None:
-        if args.s is None or args.delta is None:
-            raise SystemExit2("case-b parameterization needs both --s and --delta")
-        alpha = case_b_alpha(args.s, args.delta)
-        return [alpha] * n_sites
-    per_site = [args.alpha1, args.alpha2, args.alpha3][:n_sites]
-    if args.alpha is not None:
-        per_site = [args.alpha if a is None else a for a in per_site]
-    if any(a is None for a in per_site):
-        raise SystemExit2(
-            f"need angles for {n_sites} sites: --alpha or --alpha1..--alpha{n_sites}")
-    return [float(a) for a in per_site]
-
-
 class SystemExit2(Exception):
     """Argument-level error surfaced with exit code 2."""
 
 
+#: grid points per kernel call; bounds the sweep's working memory for any --steps
+CHUNK = 512
+
+_ANGLE_VARS = ("alpha", "alpha1", "alpha2", "alpha3")
+_SWEEP_VARS = _ANGLE_VARS + ("s", "delta")
+
+
+@dataclass(frozen=True)
+class _Points:
+    """Resolved inputs at G points: one (G,) angle array and one skew per
+    site, and the case-b (s, delta) arrays if the angles come from them."""
+
+    angles: list[np.ndarray]
+    skews: list[float]
+    case_b: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _resolve(args, n_sites: int, swept: dict[str, np.ndarray]) -> _Points:
+    """The site angles and skews at every point.
+
+    ``swept`` maps each swept variable to its (G,) values; measure passes
+    none (G = 1).  Fixed flags fill what is not swept, a per-site angle
+    beats --alpha, and --config sets every site.  An input that would be
+    ignored is rejected: case-b flags mixed with angle flags or --config, a
+    variable both fixed and swept, and an angle that sets no site.
+    """
+    size = len(next(iter(swept.values()))) if swept else 1
+    fixed = {v: getattr(args, v) for v in _SWEEP_VARS if getattr(args, v) is not None}
+    flag = {**{v: f"--{v}" for v in fixed}, **{v: f"--var {v}" for v in swept}}
+    both = [v for v in swept if v in fixed]
+    if both:
+        raise SystemExit2(f"--{both[0]} is both fixed and swept")
+    given = {v: np.broadcast_to(np.asarray(x, dtype=float), (size,))
+             for v, x in {**fixed, **swept}.items()}
+    if getattr(args, "config", None) is not None:
+        if given:
+            raise SystemExit2(f"--config cannot be combined with {flag[next(iter(given))]}")
+        with open(args.config) as fh:
+            sites = config_sites(parse_config(fh.read()), n_sites)
+        return _Points([np.full(size, alpha) for alpha, _ in sites], [k for _, k in sites])
+    if "s" in given or "delta" in given:
+        angle_flags = [flag[v] for v in given if v in _ANGLE_VARS]
+        if angle_flags:
+            raise SystemExit2(f"case-b --s/--delta cannot be combined with {angle_flags[0]}")
+        if len(given) != 2:
+            raise SystemExit2("case-b parameterization needs both --s and --delta")
+        s, delta = given["s"], given["delta"]
+        return _Points([case_b_alpha(s, delta)] * n_sites, [1.0] * n_sites, (s, delta))
+    keys = [f"alpha{i}" if f"alpha{i}" in given else "alpha" for i in range(1, n_sites + 1)]
+    if any(k not in given for k in keys):
+        raise SystemExit2(
+            f"need angles for {n_sites} sites: --alpha or --alpha1..--alpha{n_sites}")
+    unused = [flag[v] for v in given if v not in keys]
+    if unused:
+        raise SystemExit2(f"{unused[0]} sets none of the {n_sites} sites")
+    return _Points([given[k] for k in keys], [1.0] * n_sites)
+
+
+def _measured_state(name: str, measure: str) -> StateVector:
+    """The catalog state, built once per command."""
+    entry = catalog(name)
+    state = build_state(entry.weight, entry.spec)
+    sites, word = (2, "two") if measure == "concurrence" else (3, "three")
+    if state.n_sites != sites:
+        raise SystemExit2(f"{name} is not a {word}-site state")
+    return state
+
+
+def _evaluate(state: StateVector, measure: str, points: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """The measure at every point, and where the basis is degenerate (NaN)."""
+    sites, degenerate = [], False
+    for angles, skew in zip(points.angles, points.skews):
+        vectors, flags = biortho(angles, skew)
+        sites.append(vectors)
+        degenerate = degenerate | flags
+    vec = embed(state, sites)
+    values = concurrence(normalize(vec)) if measure == "concurrence" else average_entropy(vec)
+    return values, degenerate
+
+
 def _closed_form_for(name: str, measure: str, angles: list[float],
                      case_b: tuple[float, float] | None) -> float | None:
+    if case_b is not None and math.isnan(angles[0]):
+        return None   # |delta| > 2|s|: no real spectrum
     try:
         if measure == "concurrence":
             bell_name = name.removesuffix("-same") + ("-" if name.endswith("-same") else "")
@@ -173,43 +236,31 @@ def _closed_form_for(name: str, measure: str, angles: list[float],
     return None
 
 
-def _measure_value(name: str, measure: str, angles: list[float],
-                   bases: list[BiorthoBasis] | None = None) -> float:
-    """The measure on the given site bases, or on skew-1 bases at `angles`."""
-    entry = catalog(name)
-    state = build_state(entry.weight, entry.spec)
-    sites, word = (2, "two") if measure == "concurrence" else (3, "three")
-    if state.n_sites != sites:
-        raise SystemExit2(f"{name} is not a {word}-site state")
-    vec = embed(state, bases or [basis_from_alpha(a) for a in angles])
-    return concurrence(normalize(vec)) if sites == 2 else average_entropy(vec)
-
-
-def _config_bases(path: str, n_sites: int) -> tuple[list[BiorthoBasis], bool]:
-    """Site bases from a config file, and whether every site has s = t.
-
-    The closed forms hold for the symmetric (s = t) family only."""
-    with open(path) as fh:
-        cfg = parse_config(fh.read())
-    bases = bases_from_config(cfg, n_sites)
-    symmetric = all(f"alpha{i}" in cfg or cfg[f"s{i}"] == cfg[f"t{i}"]
-                    for i in range(1, n_sites + 1))
-    return bases, symmetric
+def _rows(points: _Points) -> list[tuple[list[float], tuple[float, float] | None]]:
+    """Per point: the site angles and the case-b (s, delta), as Python floats."""
+    angles = [list(row) for row in zip(*(a.tolist() for a in points.angles))]
+    if points.case_b is None:
+        return [(row, None) for row in angles]
+    return list(zip(angles, zip(*(x.tolist() for x in points.case_b))))
 
 
 def cmd_measure(args) -> int:
-    entry = catalog(args.name)
-    state_sites = entry.spec.n_sites
-    bases, symmetric = None, True
-    if args.config:
-        bases, symmetric = _config_bases(args.config, state_sites)
-        angles = [b.alpha for b in bases]
-    else:
-        angles = _angles_from_args(args, state_sites)
-    case_b = (args.s, args.delta) if args.s is not None and args.delta is not None else None
-    value = _measure_value(args.name, args.measure, angles, bases)
+    state = _measured_state(args.name, args.measure)
+    points = _resolve(args, state.n_sites, {})
+    [(angles, case_b)] = _rows(points)
+    if case_b is not None and math.isnan(angles[0]):
+        raise SystemExit2("case b needs |delta| <= 2|s| for a real spectrum")
+    values, degenerate = _evaluate(state, args.measure, points)
+    if degenerate[0]:
+        raise DegenerateSpectrum(
+            f"|cos(alpha)| < {DEGENERACY_TOL:g} at alpha = "
+            f"{', '.join(f'{a:.6g}' for a in angles)}; the biorthonormal basis is "
+            "undefined at the degeneracy boundary")
+    value = float(values[0])
+    # the closed forms hold for the symmetric (s = t) family only
+    symmetric = all(abs(k) == 1 for k in points.skews)
     closed = _closed_form_for(args.name, args.measure, angles, case_b) if symmetric else None
-    inputs = {f"alpha{i + 1}": angles[i] for i in range(state_sites)}
+    inputs = {f"alpha{i + 1}": a for i, a in enumerate(angles)}
     if case_b is not None:
         inputs.update({"s": args.s, "delta": args.delta})
     row = {"name": args.name, "measure": args.measure, "inputs": inputs, "value": value}
@@ -228,10 +279,7 @@ def cmd_measure(args) -> int:
     return 0
 
 
-_SWEEP_VARS = ("alpha", "alpha1", "alpha2", "alpha3", "s", "delta")
-
-
-def _sweep_grid(args) -> tuple[list[str], list[list[float]]]:
+def _sweep_grid(args) -> tuple[list[str], list[np.ndarray]]:
     names = args.var
     ranges = args.range
     steps = args.steps
@@ -239,6 +287,8 @@ def _sweep_grid(args) -> tuple[list[str], list[list[float]]]:
         raise SystemExit2("sweep needs at least one --var")
     if len(names) > 2:
         raise SystemExit2("at most two sweep variables are supported")
+    if len(set(names)) != len(names):
+        raise SystemExit2(f"--var {names[0]} is given twice")
     if len(ranges) != len(names):
         raise SystemExit2("need one --range per --var")
     if len(steps) == 1:
@@ -251,67 +301,30 @@ def _sweep_grid(args) -> tuple[list[str], list[list[float]]]:
             raise SystemExit2("steps must be >= 2")
         if not lo < hi:
             raise SystemExit2("range must have lo < hi")
-        axes.append(list(np.linspace(lo, hi, n)))
+        axes.append(np.linspace(lo, hi, n))
     return names, axes
 
 
 def cmd_sweep(args) -> int:
-    entry = catalog(args.name)
-    n_sites = entry.spec.n_sites
     names, axes = _sweep_grid(args)
-    for v in names:
-        if v not in _SWEEP_VARS:
-            raise SystemExit2(f"unknown sweep variable {v!r}")
-    case_b_mode = any(v in ("s", "delta") for v in names) or args.s is not None
-    rows = []
-    grid = [(a,) for a in axes[0]] if len(axes) == 1 else [
-        (a, b) for a in axes[0] for b in axes[1]]
-    for point in grid:
-        values = dict(zip(names, point))
-        if case_b_mode:
-            s = values.get("s", args.s)
-            delta = values.get("delta", args.delta)
-            if s is None or delta is None:
-                raise SystemExit2("case-b sweep needs s and delta (swept or fixed)")
-            try:
-                alpha = case_b_alpha(s, delta)
-                angles = [alpha] * n_sites
-            except ValueError:
-                rows.append((values, float("nan"), None))
-                continue
-            case_b = (s, delta)
-        else:
-            fixed = {1: args.alpha1, 2: args.alpha2, 3: args.alpha3}
-            angles = []
-            for i in range(1, n_sites + 1):
-                if f"alpha{i}" in values:
-                    angles.append(values[f"alpha{i}"])
-                elif "alpha" in values:
-                    angles.append(values["alpha"])
-                elif fixed[i] is not None:
-                    angles.append(fixed[i])
-                elif args.alpha is not None:
-                    angles.append(args.alpha)
-                else:
-                    raise SystemExit2(f"no value for alpha{i} in sweep")
-            case_b = None
-        try:
-            value = _measure_value(args.name, args.measure, angles)
-        except DegenerateSpectrum:
-            value = float("nan")
-        closed = _closed_form_for(args.name, args.measure, angles, case_b)
-        rows.append((values, value, closed))
-
+    state = _measured_state(args.name, args.measure)
+    grid = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]   # row-major
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(names) + ["value", "closed_form", "abs_diff"])
-    for values, value, closed in rows:
-        rec = [_fmt(values[v]) for v in names] + [_fmt(value)]
-        if closed is None:
-            rec += ["", ""]
-        else:
-            rec += [_fmt(closed), _fmt(abs(value - closed))]
-        writer.writerow(rec)
+    for start in range(0, grid[0].size, CHUNK):
+        chunk = [axis[start:start + CHUNK] for axis in grid]
+        points = _resolve(args, state.n_sites, dict(zip(names, chunk)))
+        values, _ = _evaluate(state, args.measure, points)
+        coords = zip(*(axis.tolist() for axis in chunk))
+        for point, value, (angles, case_b) in zip(coords, values.tolist(), _rows(points)):
+            closed = _closed_form_for(args.name, args.measure, angles, case_b)
+            rec = [_fmt(x) for x in point] + [_fmt(value)]
+            if closed is None:
+                rec += ["", ""]
+            else:
+                rec += [_fmt(closed), _fmt(abs(value - closed))]
+            writer.writerow(rec)
     try:
         if args.out == "-":
             sys.stdout.write(buffer.getvalue())

@@ -2,11 +2,15 @@
 
 ``embed`` substitutes each site's numeric biorthonormal vectors into a
 :class:`~pseudobell.constructor.StateVector` and returns the 2^N amplitude
-vector over the computational basis |b_1 ... b_N>.  Normalization is always
-the ordinary Euclidean norm of the embedded vector; the eta-weighted square
-norm is available separately as a diagnostic but never feeds the measures.
+vector over the computational basis |b_1 ... b_N>.  Given the site vectors
+of G grid points (from :func:`~pseudobell.biortho.biortho`) it returns a
+(G, 2^N) array, one row per point; the single-point call is the G = 1 row
+of the same code.  Normalization is always the ordinary Euclidean norm of
+the embedded vector; the eta-weighted square norm is available separately
+as a diagnostic but never feeds the measures.
 
-Measures:
+Measures (``normalize``, ``concurrence`` and ``average_entropy`` work on
+the last axis and broadcast over any leading grid axis):
 
 * concurrence  C(|psi>) = |<psi| sigma_y (x) sigma_y |psi*>| for two qubits,
   with |psi*> the componentwise conjugate in the computational basis;
@@ -26,17 +30,15 @@ Closed forms (used as oracles against the numeric pipeline):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .biortho import BiorthoBasis
+from .biortho import FAMILIES, BiorthoBasis
 from .constructor import StateVector
-
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-_SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 DENOM_TOL = 1e-12
 
@@ -57,8 +59,17 @@ class SingularDenominator(ZeroDivisionError):
     pass
 
 
-def _site_bases(state: StateVector,
-                bases: Sequence[BiorthoBasis] | Mapping[int, BiorthoBasis]) -> dict[int, BiorthoBasis]:
+def _scalar(x):
+    """A 0-d result as a Python float; grid results stay arrays."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _squared_norm(vec: np.ndarray) -> np.ndarray:
+    """Sum of |v|^2 over the last axis."""
+    return (vec.real ** 2 + vec.imag ** 2).sum(axis=-1)
+
+
+def _site_bases(state: StateVector, bases: Sequence | Mapping) -> dict:
     sites = sorted({lab.site for labels in state.terms for lab in labels})
     if isinstance(bases, Mapping):
         mapping = dict(bases)
@@ -70,45 +81,61 @@ def _site_bases(state: StateVector,
     return mapping
 
 
-def embed(state: StateVector,
-          bases: Sequence[BiorthoBasis] | Mapping[int, BiorthoBasis]) -> np.ndarray:
-    """Numeric amplitudes of the state in the computational basis (unnormalized)."""
+def embed(state: StateVector, bases: Sequence | Mapping) -> np.ndarray:
+    """Numeric amplitudes of the state in the computational basis (unnormalized).
+
+    ``bases`` gives one entry per site, in site order or as a {site: entry}
+    mapping.  An entry is a :class:`BiorthoBasis` or an array of site
+    vectors of shape (G, 2, 2, 2) from :func:`~pseudobell.biortho.biortho`.
+    With any array entry the result has shape (G, 2^N), one row per grid
+    point; with bases only it has shape (2^N,), the G = 1 row.
+    """
     mapping = _site_bases(state, bases)
-    n = state.n_sites
-    out = np.zeros(2 ** n, dtype=complex)
+    batched = not all(isinstance(b, BiorthoBasis) for b in mapping.values())
+    vectors = {site: b.vectors[None] if isinstance(b, BiorthoBasis) else np.asarray(b)
+               for site, b in mapping.items()}
+    size = max((v.shape[0] for v in vectors.values()), default=1)
+    out = np.zeros((size, 2 ** state.n_sites), dtype=complex)
     for labels, c in state.terms.items():
-        vec = np.array([c], dtype=complex)
+        # the term's per-site outer product, one row per grid point
+        amp = np.array([[c]])
         for lab in labels:
-            vec = np.kron(vec, mapping[lab.site].vector(lab.family, lab.level))
-        out += vec
-    return out
+            site = vectors[lab.site][:, FAMILIES.index(lab.family), lab.level]
+            outer = amp[:, :, None] * site[:, None, :]
+            amp = outer.reshape(outer.shape[0], -1)
+        out += amp
+    return out if batched else out[0]
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm == 0:
+    """Scale to unit Euclidean norm along the last axis."""
+    vec = np.asarray(vec)
+    norm = np.sqrt(_squared_norm(vec))
+    if np.any(norm == 0):
         raise ValueError("cannot normalize the zero vector")
-    return vec / norm
+    return vec * (1.0 / norm)[..., None]   # NaN (degenerate) rows pass without a warning
 
 
-def eta_squared_norm(state: StateVector,
-                     bases: Sequence[BiorthoBasis] | Mapping[int, BiorthoBasis]) -> complex:
+def eta_squared_norm(state: StateVector, bases: Sequence | Mapping) -> complex:
     """Diagnostic <v| (eta x ... x eta) |v> for the embedded vector."""
     mapping = _site_bases(state, bases)
     vec = embed(state, mapping)
     sites = sorted({lab.site for labels in state.terms for lab in labels})
-    big = np.array([[1.0 + 0j]])
-    for site in sites:
-        big = np.kron(big, mapping[site].eta)
-    return complex(np.vdot(vec, big @ vec))
+    tensor = vec.reshape([2] * len(sites))
+    for axis, site in enumerate(sites):
+        tensor = np.moveaxis(np.tensordot(mapping[site].eta, tensor, axes=([1], [axis])), 0, axis)
+    return complex(np.vdot(vec, tensor.reshape(-1)))
 
 
-def concurrence(vec: np.ndarray) -> float:
-    """Two-qubit pure-state concurrence |<psi| sy x sy |psi*>|."""
+def concurrence(vec: np.ndarray):
+    """Two-qubit pure-state concurrence |<psi| sy x sy |psi*>| = 2 |v0 v3 - v1 v2|.
+
+    Works on the last axis, so a (G, 4) array of grid points gives (G,).
+    """
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (4,):
+    if vec.ndim == 0 or vec.shape[-1] != 4:
         raise NotTwoQubit(f"need a 4-component two-qubit vector, got shape {vec.shape}")
-    return float(abs(np.vdot(vec, _SY_SY @ vec.conj())))
+    return _scalar(2.0 * np.abs(vec[..., 0] * vec[..., 3] - vec[..., 1] * vec[..., 2]))
 
 
 def density_matrix(vec: np.ndarray) -> np.ndarray:
@@ -144,19 +171,56 @@ def linear_entropy(rho_a: np.ndarray, d: int | None = None) -> float:
     return d / (d - 1) * (1.0 - purity)
 
 
-def average_entropy(vec: np.ndarray, n: int = 1) -> float:
-    """Binomial-averaged linear entropy over all size-n subsystems."""
+@functools.lru_cache(maxsize=None)
+def _minor_indices(sites: int, n: int) -> np.ndarray:
+    """Flat amplitude indices of the 2x2 minors of every size-n cut.
+
+    Shape (4, cuts, minors): entry [:, c, m] holds (p, q, r, t) such that
+    minor m of cut c is v[p] v[q] - v[r] v[t].  A cut's amplitude matrix has
+    its subset's sites as row bits and the rest as column bits (site 1 is
+    the most significant bit of the flat index).
+    """
+    def offsets(group):
+        return [sum(bit << (sites - 1 - s) for bit, s in zip(bits, group))
+                for bits in itertools.product((0, 1), repeat=len(group))]
+
+    cuts = []
+    for subset in itertools.combinations(range(sites), n):
+        rows = offsets(subset)
+        cols = offsets([s for s in range(sites) if s not in subset])
+        cuts.append([(ri + ck, rj + cl, ri + cl, rj + ck)
+                     for ri, rj in itertools.combinations(rows, 2)
+                     for ck, cl in itertools.combinations(cols, 2)])
+    indices = np.array(cuts).transpose(2, 0, 1)
+    indices.flags.writeable = False   # shared by every caller through the cache
+    return indices
+
+
+def average_entropy(vec: np.ndarray, n: int = 1):
+    """Binomial-averaged linear entropy over all size-n subsystems.
+
+    Works on the last axis, so a (G, 2^N) array of grid points gives (G,).
+    For a cut with amplitude matrix M (subset x rest), Cauchy-Binet gives
+    1 - Tr rho^2 = 2 sum |2x2 minors of M|^2 / ||M||^4, a sum of squares:
+    the entropy is never negative and keeps its relative accuracy near
+    product states.  The vector need not be normalized.  The minors number
+    C(2^n, 2) C(2^(N-n), 2) per cut, so the cost grows fast with N.
+    """
     vec = np.asarray(vec, dtype=complex)
-    sites = vec.shape[0].bit_length() - 1
-    if 2 ** sites != vec.shape[0]:
+    dim = vec.shape[-1] if vec.ndim else 0
+    sites = dim.bit_length() - 1
+    if dim == 0 or 2 ** sites != dim:
         raise ValueError("amplitude vector must have length 2^N")
     if not 1 <= n < sites:
         raise BadSubsetSize(f"need 1 <= n < {sites}, got {n}")
-    rho = density_matrix(normalize(vec))
+    norm2 = _squared_norm(vec)
+    if np.any(norm2 == 0):
+        raise ValueError("the zero vector has no entropy")
+    p, q, r, t = (vec[..., idx] for idx in _minor_indices(sites, n))   # (..., cuts, minors)
+    purity_gap = 2.0 * _squared_norm(p * q - r * t)                      # (..., cuts)
     d = min(2 ** n, 2 ** (sites - n))
-    values = [linear_entropy(partial_trace(rho, subset), d)
-              for subset in itertools.combinations(range(1, sites + 1), n)]
-    return float(np.mean(values))
+    entropies = d / (d - 1) * (purity_gap / (norm2 * norm2)[..., None])
+    return _scalar(entropies.sum(axis=-1) / entropies.shape[-1])
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -191,12 +255,15 @@ def concurrence_closed_form(name: str, alpha1: float, alpha2: float) -> float:
     return abs(math.cos(alpha1) * math.cos(alpha2) / den)
 
 
-def case_b_alpha(s: float, delta: float) -> float:
-    """Mixing angle of the atom-field family: sin(alpha) = -delta/(2s)."""
-    ratio = -delta / (2.0 * s)
-    if abs(ratio) > 1:
-        raise ValueError("need |delta| <= 2s")
-    return math.asin(ratio)
+def case_b_alpha(s, delta):
+    """Mixing angle of the atom-field family: sin(alpha) = -delta/(2s).
+
+    Elementwise over arrays of grid points.  NaN where |delta| > 2|s|,
+    beyond the real regime; ``biortho`` flags a NaN angle as degenerate.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = -np.asarray(delta, dtype=float) / (2.0 * np.asarray(s, dtype=float))
+    return _scalar(np.arcsin(np.where(np.abs(ratio) <= 1, ratio, np.nan)))
 
 
 def case_b_concurrence(s: float, delta: float) -> float:

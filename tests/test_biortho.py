@@ -10,6 +10,7 @@ from pseudobell.biortho import (
     SystemParams,
     bases_from_config,
     basis_from_alpha,
+    biortho,
     check_pseudo_hermiticity,
     eigenbasis,
     hamiltonian,
@@ -127,6 +128,35 @@ def test_degenerate_boundary_raises():
         eigenbasis(SystemParams(1, 1, 1, math.pi / 2))
     with pytest.raises(DegenerateSpectrum):
         basis_from_alpha(math.pi / 2)
+
+
+def test_biortho_grid_matches_scalar_basis_and_flags_degeneracy():
+    # basis_from_alpha is the G = 1 slice of biortho, so every regular row
+    # equals the scalar basis exactly; degenerate rows are flagged and NaN
+    rng = np.random.default_rng(3)
+    alphas = np.concatenate([rng.uniform(-7, 7, 40), [math.pi / 2, -math.pi / 2, 3 * math.pi / 2]])
+    for skew in (1.0, 2.0, -0.5):
+        vectors, degenerate = biortho(alphas, skew)
+        assert vectors.shape == (len(alphas), 2, 2, 2)
+        assert degenerate.tolist() == [abs(math.cos(a)) < 1e-10 for a in alphas]
+        for alpha, row, flagged in zip(alphas, vectors, degenerate):
+            if flagged:
+                assert np.isnan(row).all()
+                with pytest.raises(DegenerateSpectrum):
+                    basis_from_alpha(alpha, skew)
+                continue
+            basis = basis_from_alpha(alpha, skew)
+            assert np.array_equal(basis.vectors, row)
+            for k, family in enumerate(("psi", "phi")):
+                for level in (0, 1):
+                    assert np.array_equal(basis.vector(family, level), row[k, level])
+
+
+def test_biortho_per_point_skew():
+    alphas = np.array([0.3, 0.3])
+    vectors, _ = biortho(alphas, np.array([1.0, 2.0]))
+    assert np.array_equal(vectors[0], biortho(alphas[:1], 1.0)[0][0])
+    assert np.array_equal(vectors[1], biortho(alphas[:1], 2.0)[0][0])
 
 
 def test_non_real_regime_raises():

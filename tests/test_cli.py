@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -5,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from pseudobell import verify
+from pseudobell import cli, verify
 from pseudobell.biortho import basis_from_alpha
 from pseudobell.cli import main, parse_angle
 from pseudobell.constructor import catalog, catalog_entries
@@ -227,6 +229,126 @@ def test_sweep_bad_output_path(capsys):
                        "--var", "alpha", "--range", "0:1", "--steps", "3",
                        "--out", "/nonexistent-dir/x.csv")
     assert code == 4
+
+
+# -- inputs that would be ignored are rejected (exit 2) ------------------------
+
+
+def test_sweep_rejects_alpha_var_with_case_b(capsys):
+    code, _, err = run(capsys, "sweep", "--name", "B2-", "--measure", "concurrence",
+                       "--var", "alpha", "--range", "0:1", "--steps", "3",
+                       "--s", "1", "--delta", "0.5", "--out", "-")
+    assert code == 2
+    assert "case-b" in err
+
+
+def test_sweep_rejects_a_variable_swept_twice(capsys):
+    code, out, err = run(capsys, "sweep", "--name", "B2-", "--measure", "concurrence",
+                         "--var", "alpha", "--range", "0:1", "--var", "alpha", "--range", "0:1",
+                         "--steps", "3", "--out", "-")
+    assert code == 2
+    assert "twice" in err and out == ""
+
+
+def test_measure_rejects_case_b_with_alpha(capsys):
+    code, out, _ = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                       "--s", "1", "--delta", "0.5", "--alpha", "0.3")
+    assert code == 2
+    assert out == ""
+
+
+def test_measure_rejects_config_with_case_b(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("alpha1 = 0.3\nalpha2 = 0.3\n")
+    code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                         "--config", str(cfg), "--s", "1", "--delta", "0.5")
+    assert code == 2
+    assert "--config" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--alpha", "0.3", "--alpha3", "0.1"],                 # no third site
+    ["measure", "--alpha", "0.3", "--alpha1", "0.1", "--alpha2", "0.2"],  # --alpha sets none
+    ["sweep", "--var", "alpha", "--range", "0:1", "--alpha1", "0.1", "--alpha2", "0.2",
+     "--out", "-"],                                                      # swept --alpha unused
+    ["sweep", "--var", "alpha1", "--range", "0:1", "--alpha1", "0.2", "--alpha2", "0.1",
+     "--out", "-"],                                                      # fixed and swept
+    ["sweep", "--var", "s", "--range", "1:2", "--s", "1", "--delta", "0.5", "--out", "-"],
+    ["measure", "--s", "1", "--delta", "3"],                           # |delta| > 2s
+])
+def test_ignored_or_out_of_range_inputs_are_rejected(capsys, argv):
+    command, *rest = argv
+    code, out, _ = run(capsys, command, "--name", "B2-", "--measure", "concurrence", *rest)
+    assert code == 2
+    assert out == ""
+
+
+# -- the batched sweep kernel -------------------------------------------------------
+
+
+def _sweep_rows(capsys, *argv):
+    code, out, _ = run(capsys, "sweep", *argv, "--out", "-")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    return rows[0], rows[1:]
+
+
+@pytest.mark.parametrize("name, measure, var, fixed", [
+    ("B2-", "concurrence", "alpha1", ["--alpha2", "0.7"]),
+    ("W7", "avg_entropy", "alpha1", ["--alpha2", "0.3", "--alpha3", "-1.1"]),
+    ("G5-", "avg_entropy", "alpha1", ["--alpha2", "2.2", "--alpha3", "0.4"]),
+    # a fixed per-site angle beats the swept --alpha (it used to be ignored)
+    ("B'3-", "concurrence", "alpha", ["--alpha2", "0.7"]),
+])
+def test_sweep_row_matches_measure_text(capsys, name, measure, var, fixed):
+    _, rows = _sweep_rows(capsys, "--name", name, "--measure", measure, "--var", var,
+                          "--range", "0:2pi", "--steps", "9", *fixed)
+    for alpha1, value, closed, _ in rows:
+        code, out, _ = run(capsys, "measure", "--name", name, "--measure", measure,
+                           "--alpha1", alpha1, *fixed)
+        if value == "nan":
+            assert code == 3
+            continue
+        assert code == 0
+        line = out.splitlines()[1]
+        assert f"value={value} " in line and f"closed_form={closed} " in line
+
+
+def test_sweep_beyond_one_chunk_equals_point_by_point(capsys, monkeypatch):
+    argv = ["--name", "W7", "--measure", "avg_entropy", "--var", "alpha1", "--range", "0:2pi",
+            "--var", "alpha2", "--range=-1:3", "--steps", "41", "--steps", "13",
+            "--alpha3", "0.9"]
+    assert 41 * 13 > cli.CHUNK
+    header, batched = _sweep_rows(capsys, *argv)
+    monkeypatch.setattr(cli, "CHUNK", 1)
+    assert _sweep_rows(capsys, *argv) == (header, batched)
+    assert sum(row[2] == "nan" for row in batched) == 2 * 13   # alpha1 = pi/2, 3pi/2
+
+
+def test_sweep_nan_exactly_at_degenerate_points(capsys):
+    header, rows = _sweep_rows(capsys, "--name", "B2-", "--measure", "concurrence",
+                               "--var", "alpha", "--range", "0:2pi", "--steps", "201")
+    assert header == ["alpha", "value", "closed_form", "abs_diff"]
+    nan_rows = [i for i, row in enumerate(rows) if row[1] == "nan"]
+    assert nan_rows == [i for i, row in enumerate(rows) if abs(math.cos(float(row[0]))) < 1e-10]
+    assert nan_rows == [50, 150]
+    # the closed form is still reported there; only the measured value is NaN
+    assert all(row[2] != "" and row[3] == "nan" for row in (rows[50], rows[150]))
+
+
+def test_sweep_case_b_nan_and_empty_cells(capsys):
+    _, rows = _sweep_rows(capsys, "--name", "B3-", "--measure", "concurrence",
+                          "--var", "s", "--range", "1:2", "--var", "delta", "--range=-3:3",
+                          "--steps", "5", "--steps", "13")
+    assert len(rows) == 65
+    for s, delta, value, closed, diff in rows:
+        s, delta = float(s), float(delta)
+        # |delta / 2s| >= 1: degenerate or no real spectrum, so NaN
+        assert (value == "nan") == (abs(delta) >= 2 * s)
+        # beyond the boundary there is no closed form either
+        assert (closed == "" and diff == "") == (abs(delta) > 2 * s)
+    assert sum(row[2] == "nan" for row in rows) == 12
+    assert sum(row[3] == "" for row in rows) == 6
 
 
 def test_verify_passes(capsys):

@@ -5,8 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from pseudobell.biortho import basis_from_alpha
-from pseudobell.constructor import StateVector, all_biseparable, build_state, catalog
+from pseudobell.biortho import basis_from_alpha, biortho
+from pseudobell.constructor import (
+    StateVector,
+    all_biseparable,
+    build_state,
+    catalog,
+    catalog_entries,
+)
 from pseudobell.entanglement import (
     BadSubset,
     BadSubsetSize,
@@ -143,6 +149,16 @@ def test_case_b_matches_closed_form():
             vec = embedded("B2-", alpha, alpha)
             assert abs(concurrence(vec) - case_b_concurrence(s, delta)) < 1e-10
     assert abs(case_b_concurrence(1.0, 0.0) - 1.0) < 1e-15
+
+
+def test_case_b_alpha_over_a_grid():
+    s = np.array([1.0, 1.0, 2.0, 1.5])
+    delta = np.array([0.5, 3.0, -4.0, -3.0])
+    alphas = case_b_alpha(s, delta)
+    assert alphas[0] == case_b_alpha(1.0, 0.5)
+    assert abs(alphas[0] - math.asin(-0.25)) < 1e-15
+    assert math.isnan(alphas[1])   # |delta| > 2s: no real spectrum
+    assert alphas[2] == math.pi / 2 and alphas[3] == math.pi / 2
 
 
 def test_partial_trace_product_state():
@@ -330,3 +346,91 @@ def test_eta_norm_diagnostic():
     herm = [basis_from_alpha(0.0)] * 2
     vec0 = embed(state, herm)
     assert abs(eta_squared_norm(state, herm).real - float(np.vdot(vec0, vec0).real)) < 1e-12
+
+
+def _measure(vec):
+    return concurrence(normalize(vec)) if vec.shape[-1] == 4 else average_entropy(vec)
+
+
+def test_batched_kernel_equals_scalar_calls():
+    # every row of the batched embed and measures is the single-point call,
+    # bit for bit; rows with a degenerate site are NaN
+    rng = np.random.default_rng(2024)
+    for e in catalog_entries(include_variants=True):
+        state = build_state(e.weight, e.spec)
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, (state.n_sites, 24))
+        angles[-1, ::8] = math.pi / 2
+        batch = embed(state, [biortho(a)[0] for a in angles])
+        values = _measure(batch)
+        assert batch.shape == (24, 2 ** state.n_sites) and values.shape == (24,)
+        for g, point in enumerate(angles.T):
+            if any(abs(math.cos(a)) < 1e-10 for a in point):
+                assert np.isnan(batch[g]).all() and math.isnan(values[g]), e.name
+                continue
+            vec = embed(state, [basis_from_alpha(a) for a in point])
+            assert np.array_equal(batch[g], vec), e.name
+            assert values[g] == _measure(vec), e.name
+
+
+def test_embed_equals_kronecker_reference():
+    # the outer products multiply in the same order as the Kronecker loop,
+    # so the results agree exactly
+    rng = np.random.default_rng(31)
+    for e in catalog_entries(include_variants=True):
+        state = build_state(e.weight, e.spec)
+        bases = [basis_from_alpha(a) for a in rng.uniform(-1.5, 1.5, state.n_sites)]
+        want = np.zeros(2 ** state.n_sites, dtype=complex)
+        for labels, c in state.terms.items():
+            term = np.array([c], dtype=complex)
+            for lab, basis in zip(labels, bases):
+                term = np.kron(term, basis.vector(lab.family, lab.level))
+            want += term
+        assert np.array_equal(embed(state, bases), want), e.name
+
+
+def test_embed_broadcasts_a_fixed_site():
+    state = bell("B2-")
+    alphas = np.linspace(-1, 1, 7)
+    fixed = basis_from_alpha(0.4)
+    batch = embed(state, [biortho(alphas)[0], fixed])
+    for g, a in enumerate(alphas):
+        assert np.array_equal(batch[g], embed(state, [basis_from_alpha(a), fixed]))
+
+
+def test_measures_broadcast_over_leading_axes():
+    rng = np.random.default_rng(8)
+    vecs = rng.normal(size=(2, 3, 8)) + 1j * rng.normal(size=(2, 3, 8))
+    pairs = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    for n in (1, 2):
+        grid = average_entropy(vecs, n)
+        assert grid.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            assert grid[i, j] == average_entropy(vecs[i, j], n)
+    grid = concurrence(normalize(pairs))
+    for i, j in itertools.product(range(2), range(3)):
+        assert grid[i, j] == concurrence(normalize(pairs[i, j]))
+
+
+def test_average_entropy_matches_partial_trace_route():
+    # the 2x2-minor (Cauchy-Binet) form against 1 - Tr rho_A^2 from the
+    # reduced density matrices, on random states of 3 and 4 qubits
+    rng = np.random.default_rng(12)
+    for sites in (3, 4):
+        for _ in range(5):
+            vec = rng.normal(size=2 ** sites) + 1j * rng.normal(size=2 ** sites)
+            rho = density_matrix(normalize(vec))
+            for n in range(1, sites):
+                d = min(2 ** n, 2 ** (sites - n))
+                want = np.mean([linear_entropy(partial_trace(rho, subset), d)
+                                for subset in itertools.combinations(range(1, sites + 1), n)])
+                assert abs(average_entropy(vec, n) - want) < 1e-12
+
+
+def test_average_entropy_non_negative_near_degeneracy():
+    # 1 - Tr rho^2 as a difference of O(1) terms gave -5.9e-16 here; the
+    # closed form is 8.0e-24
+    alpha = math.pi / 2 - 1e-6
+    value = average_entropy(embed(bell("W7"), [basis_from_alpha(alpha)] * 3))
+    want = average_entropy_equal_alpha("W7", alpha)
+    assert value >= 0
+    assert abs(value - want) <= 1e-3 * want
