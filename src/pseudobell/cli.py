@@ -10,8 +10,9 @@ stdout carries data, stderr carries diagnostics.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import re
@@ -172,7 +173,11 @@ def _resolve(args, n_sites: int, swept: dict[str, np.ndarray]) -> _Points:
         if given:
             raise SystemExit2(f"--config cannot be combined with {flag[next(iter(given))]}")
         with open(args.config) as fh:
-            sites = config_sites(parse_config(fh.read()), n_sites)
+            text = fh.read()
+        try:
+            sites = config_sites(parse_config(text), n_sites)
+        except ValueError as exc:   # a bad line, number or site, or NonRealRegime
+            raise SystemExit2(f"--config {args.config}: {exc}") from exc
         return _Points([np.full(size, alpha) for alpha, _ in sites], [k for _, k in sites])
     if "s" in given or "delta" in given:
         angle_flags = [flag[v] for v in given if v in _ANGLE_VARS]
@@ -305,16 +310,9 @@ def _sweep_grid(args) -> tuple[list[str], list[np.ndarray]]:
     return names, axes
 
 
-def cmd_sweep(args) -> int:
-    names, axes = _sweep_grid(args)
-    state = _measured_state(args.name, args.measure)
-    grid = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]   # row-major
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(names) + ["value", "closed_form", "abs_diff"])
-    for start in range(0, grid[0].size, CHUNK):
-        chunk = [axis[start:start + CHUNK] for axis in grid]
-        points = _resolve(args, state.n_sites, dict(zip(names, chunk)))
+def _sweep_records(args, state: StateVector, chunks):
+    """One CSV row per grid point, from each chunk's coordinates and points."""
+    for chunk, points in chunks:
         values, _ = _evaluate(state, args.measure, points)
         coords = zip(*(axis.tolist() for axis in chunk))
         for point, value, (angles, case_b) in zip(coords, values.tolist(), _rows(points)):
@@ -324,13 +322,25 @@ def cmd_sweep(args) -> int:
                 rec += ["", ""]
             else:
                 rec += [_fmt(closed), _fmt(abs(value - closed))]
-            writer.writerow(rec)
+            yield rec
+
+
+def cmd_sweep(args) -> int:
+    names, axes = _sweep_grid(args)
+    state = _measured_state(args.name, args.measure)
+    grid = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]   # row-major
+    slices = ([axis[start:start + CHUNK] for axis in grid]
+              for start in range(0, grid[0].size, CHUNK))
+    chunks = ((chunk, _resolve(args, state.n_sites, dict(zip(names, chunk))))
+              for chunk in slices)
+    # resolving the first chunk raises on every rejected input, before the output opens
+    first = next(chunks)
     try:
-        if args.out == "-":
-            sys.stdout.write(buffer.getvalue())
-        else:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(buffer.getvalue())
+        with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+              else open(args.out, "w", newline="")) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(list(names) + ["value", "closed_form", "abs_diff"])
+            writer.writerows(_sweep_records(args, state, itertools.chain([first], chunks)))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

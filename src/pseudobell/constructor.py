@@ -6,9 +6,12 @@
 
 with the weight multiplying the product from the left and the rightmost
 measure applied first, and returns the purely scalar remainder as a
-:class:`StateVector`.  ``solve_weight`` inverts the map: given a target
-state it finds a weight function exactly (minimum degree, lexicographically
-smallest monomial support when underdetermined).
+:class:`StateVector`.  ``solve_weight`` inverts the map exactly from one
+expansion of the coherent product, in which each ket tuple carries a single
++/-1 monomial and so fixes one weight coefficient.  When several tuples fix
+the same coefficient, the first in sorted-label order sets it and each later
+one that disagrees is named in ``Unreachable``, as are target tuples outside
+the image.
 
 The catalog enumerates 48 constructions:
 
@@ -31,12 +34,17 @@ also what the integral actually produces.
 
 from __future__ import annotations
 
-import itertools
+import cmath
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .graded_states import BasisLabel, GradedState, coherent_state, graded_tensor
+from .graded_states import (
+    BasisLabel,
+    GradedState,
+    _label_sort_key,
+    coherent_state,
+    graded_tensor,
+)
 from .grassmann import Generator, GrassmannElement, format_complex, theta
 
 _FAMILY_ORDER = [
@@ -185,11 +193,9 @@ class StateVector:
 # -- the forward map ----------------------------------------------------------
 
 
-def _raw_build(w: GrassmannElement, spec: ProductSpec) -> GradedState:
-    states = [coherent_state(i + 1, sf.generator, sf.family)
-              for i, sf in enumerate(spec.sites)]
-    product = graded_tensor(states)
-    return product.premultiply(w).integrate(spec.measures)
+def _coherent_product(spec: ProductSpec) -> GradedState:
+    return graded_tensor([coherent_state(i + 1, sf.generator, sf.family)
+                          for i, sf in enumerate(spec.sites)])
 
 
 def build_state(w: GrassmannElement, spec: ProductSpec) -> StateVector:
@@ -202,7 +208,7 @@ def build_state(w: GrassmannElement, spec: ProductSpec) -> StateVector:
     if extra:
         raise ValueError(f"weight uses generators outside the measure list: "
                          f"{', '.join(str(g) for g in sorted(extra))}")
-    integrated = _raw_build(w, spec)
+    integrated = _coherent_product(spec).premultiply(w).integrate(spec.measures)
     if integrated.grassmann_degree() > 0:
         raise ResidualGrassmann(
             "Grassmann content survived integration; measure list incomplete?")
@@ -214,111 +220,54 @@ def build_state(w: GrassmannElement, spec: ProductSpec) -> StateVector:
 
 # -- the inverse problem -------------------------------------------------------
 #
-# Weights live in the 2^m-dimensional span of monomials over the m measure
-# generators; equating build_state(w) to the target coefficient-wise gives a
-# small linear system with integer entries, solved exactly over Gaussian
-# rationals (pairs of Fractions).
-
-_QZERO = (Fraction(0), Fraction(0))
-_QONE = (Fraction(1), Fraction(0))
-
-
-def _q(z: complex) -> tuple[Fraction, Fraction]:
-    return (Fraction(z.real), Fraction(z.imag))
-
-
-def _q_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _q_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _q_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _q_div(a, b):
-    den = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den)
-
-
-def _weight_monomials(measures: Sequence[Generator]) -> list[GrassmannElement]:
-    """All monomials over the measures, by (degree, canonical mask)."""
-    gens = sorted(set(measures))
-    monos = []
-    for k in range(len(gens) + 1):
-        for combo in itertools.combinations(gens, k):
-            monos.append(GrassmannElement.word(*combo))
-    monos.sort(key=lambda m: (m.max_degree(), next(iter(m.terms))))
-    return monos
+# Each coherent factor is 1 or -theta_g in front of a ket, so the expanded
+# product gives every ket tuple L one signed monomial c_L = +/-theta_S (two
+# level-1 sites sharing a generator give no term).  A weight monomial theta_T
+# therefore reaches row L only for T = measures \ S, with the +/-1 entry
+# a_L = int theta_T c_L, and its coefficient must be b_L / a_L.  The rows are
+# walked in sorted-label order: the first row that reaches a monomial sets its
+# coefficient and a later row that disagrees makes the target inconsistent.
+# Every theta_T is reached (one site of each generator outside T at level 1,
+# all other sites at level 0), so a consistent target has exactly one weight.
+# All of this holds for shared generators too.
 
 
 def solve_weight(target: StateVector, spec: ProductSpec) -> GrassmannElement:
     """Find w with build_state(w, spec) == target, exactly.
 
-    Prefers the minimum-degree solution with lexicographically smallest
-    monomial support (free coefficients are set to zero in that order).
-    Raises Unreachable, naming the basis tuples outside the image, when no
-    weight exists.
+    Reads each weight coefficient off one expansion of the coherent product.
+    Raises Unreachable when no weight exists, naming the basis tuples
+    outside the image, or else those that disagree with an earlier tuple
+    (in sorted-label order) fixing the same coefficient.
     """
     if target.n_sites != spec.n_sites:
         raise ValueError(f"target has {target.n_sites} sites, spec has {spec.n_sites}")
-    monos = _weight_monomials(spec.measures)
-    images = [_raw_build(m, spec) for m in monos]
-    rows: list[tuple[BasisLabel, ...]] = []
-    seen = set()
-    for img in images:
-        for labels in img.terms:
-            if labels not in seen:
-                seen.add(labels)
-                rows.append(labels)
-    unreachable = [labels for labels in target.terms if labels not in seen]
+    if not all(cmath.isfinite(c) for c in target.terms.values()):
+        raise ValueError("target coefficients must be finite")
+    product = _coherent_product(spec).terms
+    unreachable = [labels for labels in target.terms if labels not in product]
     if unreachable:
         raise Unreachable(
             "target not in the image of the integration map; uncoverable basis "
             "tuples: " + ", ".join("|" + "".join(str(l) for l in t) + "⟩"
                                    for t in unreachable),
             tuple(unreachable))
-    rows.sort(key=lambda labels: tuple((l.site, l.family, l.level) for l in labels))
-    n_rows, n_cols = len(rows), len(monos)
-    a = [[_q(images[j].terms.get(rows[i], GrassmannElement.zero()).scalar_part())
-          for j in range(n_cols)] for i in range(n_rows)]
-    b = [_q(target.terms.get(rows[i], 0j)) for i in range(n_rows)]
-
-    # exact Gaussian elimination, pivoting in column order
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(row, n_rows) if a[i][col] != _QZERO), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        inv = a[row][col]
-        a[row] = [_q_div(x, inv) for x in a[row]]
-        b[row] = _q_div(b[row], inv)
-        for i in range(n_rows):
-            if i != row and a[i][col] != _QZERO:
-                factor = a[i][col]
-                a[i] = [_q_sub(a[i][j], _q_mul(factor, a[row][j])) for j in range(n_cols)]
-                b[i] = _q_sub(b[i], _q_mul(factor, b[row]))
-        pivots.append((row, col))
-        row += 1
-    bad = [i for i in range(row, n_rows) if b[i] != _QZERO]
-    if bad:
-        names = ", ".join("|" + "".join(str(l) for l in rows[i]) + "⟩" for i in bad)
+    measures = set(spec.measures)
+    coeffs: dict[int, complex] = {}
+    inconsistent = []
+    for labels in sorted(product, key=_label_sort_key):
+        c = product[labels]
+        mono = GrassmannElement.word(*sorted(measures - c.generators()))
+        entry = (mono * c).integrate(spec.measures).scalar_part()   # +/-1
+        value = target.terms.get(labels, 0j) / entry
+        (mask,) = mono.terms
+        if coeffs.setdefault(mask, value) != value:
+            inconsistent.append(labels)
+    if inconsistent:
+        names = ", ".join("|" + "".join(str(l) for l in t) + "⟩" for t in inconsistent)
         raise Unreachable(f"target not reachable; inconsistent components: {names}",
-                          tuple(rows[i] for i in bad))
-    coeffs = [_QZERO] * n_cols
-    for r, c in pivots:
-        coeffs[c] = b[r]
-    out = GrassmannElement.zero()
-    for mono, q in zip(monos, coeffs):
-        if q != _QZERO:
-            out = out + mono * complex(float(q[0]), float(q[1]))
-    return out
+                          tuple(inconsistent))
+    return GrassmannElement(coeffs)
 
 
 # -- the catalog ----------------------------------------------------------------

@@ -168,6 +168,29 @@ def test_measure_config_honours_skew(tmp_path, capsys):
     assert "closed_form" not in payload and "abs_diff" not in payload
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("r1 = 2\ns1 = 1\nt1 = 1\nbeta1 = 1.5\nalpha2 = 0.3\n", "spectrum is not real"),
+    ("alpha1 = abc\nalpha2 = 0.3\n", "bad number"),
+    ("r1 = 1\ns1 = 1\nalpha2 = 0.3\n", "needs either alpha1 or all of"),
+], ids=["beyond-real-regime", "bad-number", "incomplete-site"])
+def test_measure_config_errors_exit_2(tmp_path, capsys, text, reason):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                         "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ") and reason in err and out == ""
+
+
+def test_measure_config_degenerate_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(f"alpha1 = {math.pi / 2!r}\nalpha2 = 0.3\n")
+    code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                         "--config", str(cfg))
+    assert code == 3
+    assert "degenerate spectrum" in err and out == ""
+
+
 def test_sweep_rejects_config(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--name", "B2-", "--measure", "concurrence", "--var", "alpha",
@@ -229,6 +252,15 @@ def test_sweep_bad_output_path(capsys):
                        "--var", "alpha", "--range", "0:1", "--steps", "3",
                        "--out", "/nonexistent-dir/x.csv")
     assert code == 4
+
+
+def test_rejected_sweep_creates_no_output(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code, _, err = run(capsys, "sweep", "--name", "B2-", "--measure", "concurrence",
+                       "--var", "alpha", "--range", "0:1", "--steps", "3",
+                       "--s", "1", "--delta", "0.5", "--out", str(out))
+    assert code == 2 and "case-b" in err
+    assert not out.exists()
 
 
 # -- inputs that would be ignored are rejected (exit 2) ------------------------

@@ -19,7 +19,7 @@ from pseudobell.constructor import (
     catalog_entries,
     solve_weight,
 )
-from pseudobell.graded_states import BasisLabel
+from pseudobell.graded_states import BasisLabel, coherent_state, graded_tensor
 from pseudobell.grassmann import GrassmannElement, theta
 
 EL = GrassmannElement
@@ -110,17 +110,46 @@ def test_solve_weight_w_pattern_distinct():
 
 
 def test_solve_weight_unreachable_names_tuples():
-    # |psi0 psi0> is unreachable from the same-theta pair (image spans the
-    # antisymmetric combination and |psi0 psi0> only jointly with theta)
+    # on the same-theta pair both kets fix the weight's constant term (w = 1
+    # gives |psi0 psi1> - |psi1 psi0>), so the symmetric sum asks two values of
+    # it; |psi1 psi0>, after |psi0 psi1> in sorted-label order, is named
     target = StateVector({psis(0, 1): 1, psis(1, 0): 1})
-    with pytest.raises(Unreachable) as exc:
+    with pytest.raises(Unreachable, match="inconsistent components") as exc:
         solve_weight(target, same_theta_pair())
-    assert exc.value.uncoverable
+    assert exc.value.uncoverable == (psis(1, 0),)
+
+
+def test_solve_weight_names_tuples_outside_the_image():
+    # two level-1 sites on W'1's shared generator give no term in the product
+    target = StateVector({psis(0, 0, 1): -1, psis(0, 1, 1): 1, psis(1, 0, 1): 2})
+    with pytest.raises(Unreachable, match="uncoverable basis tuples") as exc:
+        solve_weight(target, catalog("W'1").spec)
+    assert exc.value.uncoverable == (psis(0, 1, 1), psis(1, 0, 1))
+
+
+@pytest.mark.parametrize("flipped, named", [(2, (2,)), (1, (1,)), (0, (1, 2))])
+def test_solve_weight_names_rows_disagreeing_with_the_first(flipped, named):
+    # W'5's three kets all fix the weight's constant term: the first in
+    # sorted-label order sets it and each later ket that disagrees is named
+    entry = catalog("W'5")
+    rows = [labels for labels, _ in entry.expected.sorted_terms()]
+    target = StateVector({labels: -c if i == flipped else c
+                          for i, (labels, c) in enumerate(entry.expected.sorted_terms())})
+    with pytest.raises(Unreachable, match="inconsistent components") as exc:
+        solve_weight(target, entry.spec)
+    assert exc.value.uncoverable == tuple(rows[i] for i in named)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(0, float("inf"))])
+def test_solve_weight_rejects_non_finite_targets(bad):
+    target = StateVector({psis(0, 1): 1, psis(1, 0): bad})
+    with pytest.raises(ValueError, match="finite"):
+        solve_weight(target, distinct_pair())
 
 
 def test_solve_weight_minimum_degree_choice():
-    # both w=1 and w=1+<anything annihilated> reproduce B1-; the solver must
-    # return exactly w = 1 on the same-theta pair
+    # every weight monomial reaches a ket (theta1 reaches |psi0 psi0>), so
+    # w = 1 is the only weight giving B1- on the same-theta pair
     target = StateVector({psis(0, 1): 1, psis(1, 0): -1})
     assert solve_weight(target, same_theta_pair()) == EL.one()
 
@@ -233,20 +262,26 @@ def test_biseparable_validation():
 
 
 @st.composite
-def random_specs(draw):
-    """A product of up to 4 mixed-family sites, some sharing a generator, and a
-    weight with small integer coefficients over its measure generators."""
-    n_sites = draw(st.integers(1, 4))
+def random_products(draw):
+    """A product of up to 5 mixed-family sites, some sharing a generator."""
+    n_sites = draw(st.integers(1, 5))
     gens = draw(st.lists(st.integers(1, n_sites), min_size=n_sites, max_size=n_sites))
     families = draw(st.lists(st.sampled_from(["psi", "phi"]),
                              min_size=n_sites, max_size=n_sites))
-    used = sorted(set(gens))
-    measures = draw(st.permutations(used))
-    spec = ProductSpec(tuple(SiteFactor(f, theta(g)) for f, g in zip(families, gens)),
+    measures = draw(st.permutations(sorted(set(gens))))
+    return ProductSpec(tuple(SiteFactor(f, theta(g)) for f, g in zip(families, gens)),
                        tuple(theta(g) for g in measures))
+
+
+@st.composite
+def random_specs(draw):
+    """A random product and a weight over its measure generators, with
+    coefficients (zero included) from a small fixed complex set."""
+    spec = draw(random_products())
+    used = sorted(g.index for g in spec.measures)
     monomials = [m for k in range(len(used) + 1) for m in itertools.combinations(used, k)]
-    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monomials),
-                           max_size=len(monomials)))
+    coeffs = draw(st.lists(st.sampled_from([0, 1, -1, 0.5, 1j, -2 + 1j]),
+                           min_size=len(monomials), max_size=len(monomials)))
     weight = EL.zero()
     for mono, c in zip(monomials, coeffs):
         weight = weight + EL.word(*map(theta, mono), coeff=c)
@@ -261,4 +296,22 @@ def test_solve_weight_inverts_build_on_random_specs(case):
         target = build_state(weight, spec)
     except ZeroState:
         return  # the zero state is not a target
-    assert build_state(solve_weight(target, spec), spec) == target
+    solved = solve_weight(target, spec)
+    assert build_state(solved, spec) == target
+    # every weight monomial reaches a ket (see the next test), so none is
+    # dropped: the solve gives back the weight itself
+    assert solved == weight
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(random_products())
+def test_coherent_product_coefficients_are_single_signed_monomials(spec):
+    product = graded_tensor([coherent_state(i + 1, sf.generator, sf.family)
+                             for i, sf in enumerate(spec.sites)])
+    for coeff in product.terms.values():
+        [value] = coeff.terms.values()
+        assert value in (1, -1)
+    # every subset of the generators is some ket's monomial, so every weight
+    # monomial reaches at least one ket
+    monomials = {frozenset(coeff.generators()) for coeff in product.terms.values()}
+    assert len(monomials) == 2 ** len(spec.measures)
