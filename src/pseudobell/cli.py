@@ -172,11 +172,10 @@ def _resolve(args, n_sites: int, swept: dict[str, np.ndarray]) -> _Points:
     if getattr(args, "config", None) is not None:
         if given:
             raise SystemExit2(f"--config cannot be combined with {flag[next(iter(given))]}")
-        with open(args.config) as fh:
-            text = fh.read()
         try:
-            sites = config_sites(parse_config(text), n_sites)
-        except ValueError as exc:   # a bad line, number or site, or NonRealRegime
+            with open(args.config) as fh:
+                sites = config_sites(parse_config(fh.read()), n_sites)
+        except (OSError, ValueError) as exc:   # unreadable; bad line, number or site
             raise SystemExit2(f"--config {args.config}: {exc}") from exc
         return _Points([np.full(size, alpha) for alpha, _ in sites], [k for _, k in sites])
     if "s" in given or "delta" in given:

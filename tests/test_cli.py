@@ -182,6 +182,13 @@ def test_measure_config_errors_exit_2(tmp_path, capsys, text, reason):
     assert err.startswith("error: ") and reason in err and out == ""
 
 
+def test_measure_missing_config_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                         "--config", str(tmp_path / "absent.cfg"))
+    assert code == 2
+    assert err.startswith("error: --config ") and out == ""
+
+
 def test_measure_config_degenerate_exits_3(tmp_path, capsys):
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(f"alpha1 = {math.pi / 2!r}\nalpha2 = 0.3\n")
