@@ -6,6 +6,12 @@ check's tolerance, the number of points evaluated, and one reason per
 degenerate point it skipped.  ``run_all`` runs every check at the densities
 below and prints one line per check; ``tests/test_acceptance.py`` calls the
 same functions on denser grids.
+
+The grid checks (``concurrence_forms``, ``case_b``, ``entropy_forms`` and
+``ghz_degeneracy``) first decide which points to skip, then evaluate each
+state in one kernel call over the kept points, as ``pseudobell sweep`` does:
+``biortho`` -> ``embed`` -> measure.  The closed forms stay scalar ``math``
+oracles, called once per kept point.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import (
-    BiorthoBasis,
     SystemParams,
     basis_from_alpha,
+    biortho,
     check_pseudo_hermiticity,
     eigenbasis,
     ladder_ops,
@@ -86,10 +92,24 @@ def _exact(name: str, bad: list[str], points: int, what: str) -> CheckResult:
     return CheckResult(name, not bad, float(len(bad)), 0.0, points, detail=detail)
 
 
-def _bases(alphas) -> dict[float, BiorthoBasis | None]:
-    """Basis per angle, None where the basis is degenerate."""
-    return {a: basis_from_alpha(a) if abs(math.cos(a)) >= _SKIP_COS else None
-            for a in alphas}
+def _degenerate(alpha: float) -> bool:
+    return abs(math.cos(alpha)) < _SKIP_COS
+
+
+def _site_vectors(alphas) -> np.ndarray:
+    """(G, 2, 2, 2) site vectors at angles that passed ``_degenerate``."""
+    return biortho(np.asarray(alphas, dtype=float))[0]
+
+
+def _on_grid(measure, state, sites) -> list[float]:
+    """``measure(embed(state, sites))`` at each grid point, as Python floats."""
+    if len(sites[0]) == 0:   # embed cannot shape an empty grid
+        return []
+    return measure(embed(state, sites)).tolist()
+
+
+def _unit_concurrence(vec):
+    return concurrence(normalize(vec))
 
 
 def table_fidelity(entries=None) -> CheckResult:
@@ -116,32 +136,37 @@ def concurrence_forms(steps: int) -> CheckResult:
     """All 16 Bell/Bell' members against their closed forms on a steps x steps
     grid over [0, 2 pi)^2; equal-angle B1-/B4- must give C = 1 to 1e-12."""
     tol, equal_tol = 1e-10, 1e-12
-    bases = _bases(np.linspace(0, 2 * math.pi, steps, endpoint=False))
+    axis = np.linspace(0, 2 * math.pi, steps, endpoint=False).tolist()
+    grid, grid_skips = [], []
+    for a1, a2 in itertools.product(axis, repeat=2):
+        s1s2 = math.sin(a1) * math.sin(a2)
+        if _degenerate(a1) or _degenerate(a2):
+            grid_skips.append(f"a1={a1:.6g} a2={a2:.6g}: degenerate basis")
+        elif min(abs(1 - s1s2), abs(1 + s1s2)) < 1e-8:
+            grid_skips.append(f"a1={a1:.6g} a2={a2:.6g}: singular closed form")
+        else:
+            grid.append((a1, a2))
+    line = [a for a in axis if not _degenerate(a)]
+    line_skips = [f"a1=a2={a:.6g}: degenerate basis" for a in axis if _degenerate(a)]
+    sites = [_site_vectors([point[k] for point in grid]) for k in range(2)]
+    diagonal = [_site_vectors(line)] * 2
     worst = equal = 0.0
     points, skipped = 0, []
     for e in catalog_entries():
         if e.group not in ("bell", "bell-prime"):
             continue
         state = build_state(e.weight, e.spec)
-        for a1, a2 in itertools.product(bases, repeat=2):
-            s1s2 = math.sin(a1) * math.sin(a2)
-            if bases[a1] is None or bases[a2] is None:
-                skipped.append(f"{e.name} a1={a1:.6g} a2={a2:.6g}: degenerate basis")
-                continue
-            if min(abs(1 - s1s2), abs(1 + s1s2)) < 1e-8:
-                skipped.append(f"{e.name} a1={a1:.6g} a2={a2:.6g}: singular closed form")
-                continue
-            vec = normalize(embed(state, [bases[a1], bases[a2]]))
-            worst = max(worst, abs(concurrence(vec) - concurrence_closed_form(e.name, a1, a2)))
-            points += 1
+        skipped += [f"{e.name} {reason}" for reason in grid_skips]
+        values = _on_grid(_unit_concurrence, state, sites)
+        for (a1, a2), value in zip(grid, values):
+            worst = max(worst, abs(value - concurrence_closed_form(e.name, a1, a2)))
+        points += len(grid)
         if e.name not in ("B1-", "B4-"):
             continue
-        for a, basis in bases.items():
-            if basis is None:
-                skipped.append(f"{e.name} a1=a2={a:.6g}: degenerate basis")
-                continue
-            equal = max(equal, abs(concurrence(normalize(embed(state, [basis] * 2))) - 1.0))
-            points += 1
+        skipped += [f"{e.name} {reason}" for reason in line_skips]
+        for value in _on_grid(_unit_concurrence, state, diagonal):
+            equal = max(equal, abs(value - 1.0))
+        points += len(line)
     return CheckResult("concurrence-closed-forms", worst <= tol and equal <= equal_tol, worst,
                        tol, points, tuple(skipped),
                        f"16 members; equal-angle B1-/B4- |C - 1| {equal:.2e} "
@@ -155,16 +180,20 @@ def case_b(steps: int) -> CheckResult:
     state = build_state(catalog("B2-").weight, catalog("B2-").spec)
     ss = np.linspace(1, 2, steps)
     grid = [(s, d) for s in ss for d in np.linspace(-2, 2, steps)] + [(s, 0.0) for s in ss]
-    worst, points, skipped = 0.0, 0, []
+    kept, alphas, skipped = [], [], []
     for s, delta in grid:
         alpha = case_b_alpha(s, delta)
-        if abs(math.cos(alpha)) < _SKIP_COS:
+        if _degenerate(alpha):
             skipped.append(f"s={s:g} delta={delta:g}: degenerate basis")
-            continue
-        vec = normalize(embed(state, [basis_from_alpha(alpha)] * 2))
-        worst = max(worst, abs(concurrence(vec) - case_b_concurrence(s, delta)))
-        points += 1
-    return CheckResult("case-b", worst <= tol, worst, tol, points, tuple(skipped),
+        else:
+            kept.append((s, delta))
+            alphas.append(alpha)
+    vectors = _site_vectors(alphas)
+    values = _on_grid(_unit_concurrence, state, [vectors] * 2)
+    worst = 0.0
+    for (s, delta), value in zip(kept, values):
+        worst = max(worst, abs(value - case_b_concurrence(s, delta)))
+    return CheckResult("case-b", worst <= tol, worst, tol, len(kept), tuple(skipped),
                        "grid and delta = 0 line")
 
 
@@ -176,27 +205,29 @@ def entropy_forms(steps: int, line_steps: int) -> CheckResult:
     tol = 1e-10
     states = {key: build_state(catalog(name).weight, catalog(name).spec)
               for key, name in (("G", "G1+"), ("W7", "W7"), ("W6", "W6-+-"))}
-    worst, points, skipped = 0.0, 0, []
-    bases = _bases(np.linspace(0, 2 * math.pi, steps, endpoint=False))
-    for angles in itertools.product(bases, repeat=3):
-        if any(bases[a] is None for a in angles):
+    worst, skipped = 0.0, []
+    axis = np.linspace(0, 2 * math.pi, steps, endpoint=False).tolist()
+    grid = []
+    for angles in itertools.product(axis, repeat=3):
+        if any(_degenerate(a) for a in angles):
             skipped.append(f"G alphas={', '.join(f'{a:.6g}' for a in angles)}: "
                            "degenerate basis")
-            continue
-        vec = embed(states["G"], [bases[a] for a in angles])
-        worst = max(worst, abs(average_entropy(vec)
-                               - average_entropy_closed_form("G", *angles)))
-        points += 1
-    line = _bases(np.linspace(0, 2 * math.pi, line_steps))
+        else:
+            grid.append(angles)
+    sites = [_site_vectors([point[k] for point in grid]) for k in range(3)]
+    for angles, value in zip(grid, _on_grid(average_entropy, states["G"], sites)):
+        worst = max(worst, abs(value - average_entropy_closed_form("G", *angles)))
+    points = len(grid)
+    full_line = np.linspace(0, 2 * math.pi, line_steps).tolist()
+    line = [a for a in full_line if not _degenerate(a)]
+    vectors = _site_vectors(line)
     for key, state in states.items():
-        for a, basis in line.items():
-            if basis is None:
-                skipped.append(f"{key} alpha={a:.6g}: degenerate basis (formula value "
-                               f"{average_entropy_equal_alpha(key, a):.3g})")
-                continue
-            vec = embed(state, [basis] * 3)
-            worst = max(worst, abs(average_entropy(vec) - average_entropy_equal_alpha(key, a)))
-            points += 1
+        skipped += [f"{key} alpha={a:.6g}: degenerate basis (formula value "
+                    f"{average_entropy_equal_alpha(key, a):.3g})"
+                    for a in full_line if _degenerate(a)]
+        for a, value in zip(line, _on_grid(average_entropy, state, [vectors] * 3)):
+            worst = max(worst, abs(value - average_entropy_equal_alpha(key, a)))
+        points += len(line)
     for k in range(3):
         for key, top in (("G", 1.0), ("W7", 8 / 9), ("W6", 8 / 9)):
             worst = max(worst, abs(average_entropy_equal_alpha(key, k * math.pi) - top),
@@ -211,15 +242,18 @@ def ghz_degeneracy(n_triples: int) -> CheckResult:
     tol = 1e-10
     rng = random.Random(GHZ_SEED)
     states = [build_state(e.weight, e.spec) for e in catalog_entries() if e.group == "ghz"]
-    spread = 0.0
+    triples = []
     for _ in range(n_triples):
         alphas = []
         while len(alphas) < 3:
             a = rng.uniform(0, 2 * math.pi)
             if abs(math.cos(a)) > 0.05:
                 alphas.append(a)
-        bases = [basis_from_alpha(a) for a in alphas]
-        values = [average_entropy(embed(state, bases)) for state in states]
+        triples.append(alphas)
+    sites = [_site_vectors([alphas[k] for alphas in triples]) for k in range(3)]
+    columns = [_on_grid(average_entropy, state, sites) for state in states]
+    spread = 0.0
+    for values in zip(*columns):
         spread = max(spread, max(values) - min(values))
     return CheckResult("ghz-family-degeneracy", spread <= tol, spread, tol, n_triples,
                        detail=f"spread across {len(states)} members")

@@ -395,6 +395,13 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "[skip]" in out  # degenerate grid points are reported, not hidden
+    # a second run in the same process prints the same bytes
+    assert run(capsys, "verify") == (code, out, "")
+    lines = out.splitlines()
+    assert sum(line.startswith(("[ ok ]", "[FAIL]")) for line in lines) == 10
+    assert sum(line.startswith("[skip]") for line in lines) == 32
+    for delta in ("-2", "2"):
+        assert f"[skip] {'case-b':<28} s=1 delta={delta}: degenerate basis" in lines
 
 
 def test_verify_reports_failed_check(capsys, monkeypatch):
