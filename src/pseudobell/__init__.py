@@ -12,7 +12,6 @@ from .biortho import (
     LadderOps,
     NonRealRegime,
     SystemParams,
-    bases_from_config,
     basis_from_alpha,
     biortho,
     check_pseudo_hermiticity,
@@ -52,7 +51,6 @@ from .entanglement import (
     concurrence,
     concurrence_closed_form,
     embed,
-    eta_squared_norm,
     linear_entropy,
     normalize,
     partial_trace,
@@ -64,14 +62,11 @@ from .graded_states import (
     bi_overcompleteness,
     coherent_state,
     graded_tensor,
-    move_scalar_left,
     same_family_resolution_residual,
 )
 from .grassmann import (
     Generator,
     GrassmannElement,
-    berezin_integrate,
-    multi_integrate,
     normalize_word,
     theta,
     theta_bar,

@@ -266,8 +266,3 @@ def config_sites(cfg: dict[str, float], n_sites: int) -> list[tuple[float, float
         raise ValueError(
             f"site {i}: config needs either alpha{i} or all of r{i}, s{i}, t{i}, beta{i}")
     return sites
-
-
-def bases_from_config(cfg: dict[str, float], n_sites: int) -> list[BiorthoBasis]:
-    """Build one basis per site from a parsed config mapping."""
-    return [basis_from_alpha(alpha, skew=skew) for alpha, skew in config_sites(cfg, n_sites)]

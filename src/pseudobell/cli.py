@@ -196,14 +196,14 @@ def _resolve(args, n_sites: int, swept: dict[str, np.ndarray]) -> _Points:
     return _Points([given[k] for k in keys], [1.0] * n_sites)
 
 
-def _measured_state(name: str, measure: str) -> StateVector:
-    """The catalog state, built once per command."""
+def _measured_state(name: str, measure: str) -> tuple[str, StateVector]:
+    """The resolved catalog name and its state, built once per command."""
     entry = catalog(name)
     state = build_state(entry.weight, entry.spec)
     sites, word = (2, "two") if measure == "concurrence" else (3, "three")
     if state.n_sites != sites:
         raise SystemExit2(f"{name} is not a {word}-site state")
-    return state
+    return entry.name, state
 
 
 def _evaluate(state: StateVector, measure: str, points: _Points) -> tuple[np.ndarray, np.ndarray]:
@@ -220,6 +220,7 @@ def _evaluate(state: StateVector, measure: str, points: _Points) -> tuple[np.nda
 
 def _closed_form_for(name: str, measure: str, angles: list[float],
                      case_b: tuple[float, float] | None) -> float | None:
+    """The closed form at one point for a resolved catalog name, if any."""
     if case_b is not None and math.isnan(angles[0]):
         return None   # |delta| > 2|s|: no real spectrum
     try:
@@ -228,12 +229,11 @@ def _closed_form_for(name: str, measure: str, angles: list[float],
             if case_b is not None and bell_name in ("B2-", "B3-"):
                 return case_b_concurrence(*case_b)
             return concurrence_closed_form(bell_name, angles[0], angles[1])
-        key = name.replace("(", "").replace(")", "").replace(",", "")
-        if key.startswith("G"):
+        if name.startswith("G"):
             return average_entropy_closed_form("G", *angles)
-        if key in ("W7", "W7+++", "W7---"):
+        if name in ("W7", "W7---"):
             return average_entropy_closed_form("W7", *angles)
-        if key in ("W6-+-", "W6+-+"):
+        if name in ("W6-+-", "W6+-+"):
             return average_entropy_closed_form("W6", *angles)
     except (ValueError, SingularDenominator):
         return None
@@ -249,7 +249,7 @@ def _rows(points: _Points) -> list[tuple[list[float], tuple[float, float] | None
 
 
 def cmd_measure(args) -> int:
-    state = _measured_state(args.name, args.measure)
+    name, state = _measured_state(args.name, args.measure)
     points = _resolve(args, state.n_sites, {})
     [(angles, case_b)] = _rows(points)
     if case_b is not None and math.isnan(angles[0]):
@@ -263,7 +263,7 @@ def cmd_measure(args) -> int:
     value = float(values[0])
     # the closed forms hold for the symmetric (s = t) family only
     symmetric = all(abs(k) == 1 for k in points.skews)
-    closed = _closed_form_for(args.name, args.measure, angles, case_b) if symmetric else None
+    closed = _closed_form_for(name, args.measure, angles, case_b) if symmetric else None
     inputs = {f"alpha{i + 1}": a for i, a in enumerate(angles)}
     if case_b is not None:
         inputs.update({"s": args.s, "delta": args.delta})
@@ -309,13 +309,13 @@ def _sweep_grid(args) -> tuple[list[str], list[np.ndarray]]:
     return names, axes
 
 
-def _sweep_records(args, state: StateVector, chunks):
+def _sweep_records(args, name: str, state: StateVector, chunks):
     """One CSV row per grid point, from each chunk's coordinates and points."""
     for chunk, points in chunks:
         values, _ = _evaluate(state, args.measure, points)
         coords = zip(*(axis.tolist() for axis in chunk))
         for point, value, (angles, case_b) in zip(coords, values.tolist(), _rows(points)):
-            closed = _closed_form_for(args.name, args.measure, angles, case_b)
+            closed = _closed_form_for(name, args.measure, angles, case_b)
             rec = [_fmt(x) for x in point] + [_fmt(value)]
             if closed is None:
                 rec += ["", ""]
@@ -326,7 +326,7 @@ def _sweep_records(args, state: StateVector, chunks):
 
 def cmd_sweep(args) -> int:
     names, axes = _sweep_grid(args)
-    state = _measured_state(args.name, args.measure)
+    name, state = _measured_state(args.name, args.measure)
     grid = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]   # row-major
     slices = ([axis[start:start + CHUNK] for axis in grid]
               for start in range(0, grid[0].size, CHUNK))
@@ -339,7 +339,7 @@ def cmd_sweep(args) -> int:
               else open(args.out, "w", newline="")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(names) + ["value", "closed_form", "abs_diff"])
-            writer.writerows(_sweep_records(args, state, itertools.chain([first], chunks)))
+            writer.writerows(_sweep_records(args, name, state, itertools.chain([first], chunks)))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

@@ -41,7 +41,9 @@ from typing import Mapping
 from .graded_states import (
     BasisLabel,
     GradedState,
+    _ket,
     _label_sort_key,
+    _render_terms,
     coherent_state,
     graded_tensor,
 )
@@ -142,9 +144,6 @@ class StateVector:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "StateVector") -> "StateVector":
         out = dict(self.terms)
         for labels, c in other.terms.items():
@@ -155,29 +154,10 @@ class StateVector:
         return StateVector({labels: scalar * c for labels, c in self.terms.items()})
 
     def sorted_terms(self):
-        def key(item):
-            labels, _ = item
-            return tuple((lab.site, lab.family, lab.level) for lab in labels)
-        return sorted(self.terms.items(), key=key)
+        return sorted(self.terms.items(), key=lambda item: _label_sort_key(item[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for labels, c in self.sorted_terms():
-            ket = "|" + "".join(str(lab) for lab in labels) + "⟩"
-            cs = format_complex(c)
-            if cs == "1":
-                body = ket
-            elif cs == "-1":
-                body = "-" + ket
-            else:
-                body = f"{cs}·{ket}"
-            if not parts:
-                parts.append(body)
-            else:
-                parts.append((" - " + body[1:]) if body.startswith("-") else (" + " + body))
-        return "".join(parts)
+        return _render_terms((labels, format_complex(c)) for labels, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"StateVector({self})"
@@ -249,8 +229,7 @@ def solve_weight(target: StateVector, spec: ProductSpec) -> GrassmannElement:
     if unreachable:
         raise Unreachable(
             "target not in the image of the integration map; uncoverable basis "
-            "tuples: " + ", ".join("|" + "".join(str(l) for l in t) + "⟩"
-                                   for t in unreachable),
+            "tuples: " + ", ".join(_ket(t) for t in unreachable),
             tuple(unreachable))
     measures = set(spec.measures)
     coeffs: dict[int, complex] = {}
@@ -264,7 +243,7 @@ def solve_weight(target: StateVector, spec: ProductSpec) -> GrassmannElement:
         if coeffs.setdefault(mask, value) != value:
             inconsistent.append(labels)
     if inconsistent:
-        names = ", ".join("|" + "".join(str(l) for l in t) + "⟩" for t in inconsistent)
+        names = ", ".join(_ket(t) for t in inconsistent)
         raise Unreachable(f"target not reachable; inconsistent components: {names}",
                           tuple(inconsistent))
     return GrassmannElement(coeffs)

@@ -6,8 +6,7 @@ vector over the computational basis |b_1 ... b_N>.  Given the site vectors
 of G grid points (from :func:`~pseudobell.biortho.biortho`) it returns a
 (G, 2^N) array, one row per point; the single-point call is the G = 1 row
 of the same code.  Normalization is always the ordinary Euclidean norm of
-the embedded vector; the eta-weighted square norm is available separately
-as a diagnostic but never feeds the measures.
+the embedded vector, never the eta-weighted norm.
 
 Measures (``normalize``, ``concurrence`` and ``average_entropy`` work on
 the last axis and broadcast over any leading grid axis):
@@ -33,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,31 +68,21 @@ def _squared_norm(vec: np.ndarray) -> np.ndarray:
     return (vec.real ** 2 + vec.imag ** 2).sum(axis=-1)
 
 
-def _site_bases(state: StateVector, bases: Sequence | Mapping) -> dict:
-    sites = sorted({lab.site for labels in state.terms for lab in labels})
-    if isinstance(bases, Mapping):
-        mapping = dict(bases)
-    else:
-        mapping = {site: basis for site, basis in zip(sites, bases)}
-    missing = [s for s in sites if s not in mapping]
-    if missing:
-        raise ValueError(f"no basis given for sites {missing}")
-    return mapping
-
-
-def embed(state: StateVector, bases: Sequence | Mapping) -> np.ndarray:
+def embed(state: StateVector, bases: Sequence) -> np.ndarray:
     """Numeric amplitudes of the state in the computational basis (unnormalized).
 
-    ``bases`` gives one entry per site, in site order or as a {site: entry}
-    mapping.  An entry is a :class:`BiorthoBasis` or an array of site
-    vectors of shape (G, 2, 2, 2) from :func:`~pseudobell.biortho.biortho`.
-    With any array entry the result has shape (G, 2^N), one row per grid
-    point; with bases only it has shape (2^N,), the G = 1 row.
+    ``bases`` gives one entry per site, in site order.  An entry is a
+    :class:`BiorthoBasis` or an array of site vectors of shape (G, 2, 2, 2)
+    from :func:`~pseudobell.biortho.biortho`.  With any array entry the
+    result has shape (G, 2^N), one row per grid point (G may be 0); with
+    bases only it has shape (2^N,), the G = 1 row.
     """
-    mapping = _site_bases(state, bases)
-    batched = not all(isinstance(b, BiorthoBasis) for b in mapping.values())
+    sites = sorted({lab.site for labels in state.terms for lab in labels})
+    if len(bases) != len(sites):
+        raise ValueError(f"need one basis per site: {len(sites)} sites, {len(bases)} bases")
+    batched = not all(isinstance(b, BiorthoBasis) for b in bases)
     vectors = {site: b.vectors[None] if isinstance(b, BiorthoBasis) else np.asarray(b)
-               for site, b in mapping.items()}
+               for site, b in zip(sites, bases)}
     size = max((v.shape[0] for v in vectors.values()), default=1)
     out = np.zeros((size, 2 ** state.n_sites), dtype=complex)
     for labels, c in state.terms.items():
@@ -102,7 +91,7 @@ def embed(state: StateVector, bases: Sequence | Mapping) -> np.ndarray:
         for lab in labels:
             site = vectors[lab.site][:, FAMILIES.index(lab.family), lab.level]
             outer = amp[:, :, None] * site[:, None, :]
-            amp = outer.reshape(outer.shape[0], -1)
+            amp = outer.reshape(len(outer), outer.shape[1] * outer.shape[2])
         out += amp
     return out if batched else out[0]
 
@@ -116,17 +105,6 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     return vec * (1.0 / norm)[..., None]   # NaN (degenerate) rows pass without a warning
 
 
-def eta_squared_norm(state: StateVector, bases: Sequence | Mapping) -> complex:
-    """Diagnostic <v| (eta x ... x eta) |v> for the embedded vector."""
-    mapping = _site_bases(state, bases)
-    vec = embed(state, mapping)
-    sites = sorted({lab.site for labels in state.terms for lab in labels})
-    tensor = vec.reshape([2] * len(sites))
-    for axis, site in enumerate(sites):
-        tensor = np.moveaxis(np.tensordot(mapping[site].eta, tensor, axes=([1], [axis])), 0, axis)
-    return complex(np.vdot(vec, tensor.reshape(-1)))
-
-
 def concurrence(vec: np.ndarray):
     """Two-qubit pure-state concurrence |<psi| sy x sy |psi*>| = 2 |v0 v3 - v1 v2|.
 
@@ -136,11 +114,6 @@ def concurrence(vec: np.ndarray):
     if vec.ndim == 0 or vec.shape[-1] != 4:
         raise NotTwoQubit(f"need a 4-component two-qubit vector, got shape {vec.shape}")
     return _scalar(2.0 * np.abs(vec[..., 0] * vec[..., 3] - vec[..., 1] * vec[..., 2]))
-
-
-def density_matrix(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex)
-    return np.outer(vec, vec.conj())
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:

@@ -60,16 +60,6 @@ class BasisLabel:
         return f"{_FAMILY_GLYPH[self.family]}{self.level}"
 
 
-def move_scalar_left(g: Generator, label: BasisLabel) -> int:
-    """Sign for commuting generator g from the right of a ket to its left.
-
-    The sign is (-1)**(level-1): -1 for level 0, +1 for level 1, the same
-    for plain and conjugate generators and for both families.
-    """
-    del g  # the rule is generator-independent
-    return label.parity_sign()
-
-
 def _tuple_parity(labels: Sequence[BasisLabel]) -> int:
     sign = 1
     for lab in labels:
@@ -100,27 +90,10 @@ class GradedState:
 
     # -- linear structure ---------------------------------------------------
 
-    def __add__(self, other: "GradedState") -> "GradedState":
-        if self.n_sites and other.n_sites and self.n_sites != other.n_sites:
-            raise ValueError("site-count mismatch")
-        out = dict(self.terms)
-        for labels, coeff in other.terms.items():
-            out[labels] = out.get(labels, GrassmannElement.zero()) + coeff
-        return GradedState(out)
-
-    def __neg__(self) -> "GradedState":
-        return GradedState({lab: -c for lab, c in self.terms.items()})
-
-    def __sub__(self, other: "GradedState") -> "GradedState":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedState):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -185,28 +158,10 @@ class GradedState:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for labels in sorted(self.terms, key=_label_sort_key):
-            coeff = self.terms[labels]
-            ket = "|" + "".join(str(lab) for lab in labels) + "⟩"
-            cs = str(coeff)
-            if cs == "1":
-                body = ket
-            elif cs == "-1":
-                body = "-" + ket
-            elif coeff.is_scalar() or len(coeff.terms) == 1:
-                body = f"{cs}·{ket}"
-            else:
-                body = f"({cs})·{ket}"
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(" - " + body[1:])
-            else:
-                parts.append(" + " + body)
-        return "".join(parts)
+        terms = ((labels, self.terms[labels]) for labels in sorted(self.terms, key=_label_sort_key))
+        # a coefficient that is a sum of monomials is parenthesized
+        return _render_terms((labels, str(c) if len(c.terms) == 1 else f"({c})")
+                             for labels, c in terms)
 
     def __repr__(self) -> str:
         return f"GradedState({self})"
@@ -214,6 +169,25 @@ class GradedState:
 
 def _label_sort_key(labels: LabelTuple):
     return tuple((lab.site, lab.family, lab.level) for lab in labels)
+
+
+def _ket(labels: LabelTuple) -> str:
+    return "|" + "".join(str(lab) for lab in labels) + "⟩"
+
+
+def _render_terms(terms: Iterable[tuple[LabelTuple, str]]) -> str:
+    """Join (labels, coefficient text) pairs as "|…⟩ - c·|…⟩ + …", or "0"."""
+    parts = []
+    for labels, cs in terms:
+        ket = _ket(labels)
+        body = ket if cs == "1" else "-" + ket if cs == "-1" else f"{cs}·{ket}"
+        if not parts:
+            parts.append(body)
+        elif body.startswith("-"):
+            parts.append(" - " + body[1:])
+        else:
+            parts.append(" + " + body)
+    return "".join(parts) or "0"
 
 
 def coherent_state(site: int, generator: Generator, family: str) -> GradedState:

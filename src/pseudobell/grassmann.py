@@ -16,9 +16,10 @@ parity sign of the sorting permutation.  Berezin integration uses the
 left-derivative convention: integrating against d(g) anticommutes g to the
 front of every word containing it and strips it; words without g map to zero.
 Iterated integrals nest with the rightmost measure innermost,
-``multi_integrate(f, [g1, g2, g3])`` meaning "integrate g3 first".
+``f.integrate([g1, g2, g3])`` meaning "integrate g3 first".
 
-Rendering grammar (``__str__``, also used by the CLI and golden tests)::
+Rendering grammar (``__str__``, also used by the CLI, whose catalog, build
+and solve output ``tests/golden/`` pins byte for byte)::
 
     element :=  ["-"] term { (" + " | " - ") term }
     term    :=  coeff | mono | coeff "·" mono
@@ -185,14 +186,6 @@ class GrassmannElement:
             out.update(_code_to_generator(c) for c in _mask_codes(mask))
         return out
 
-    def coefficient(self, *gens: Generator) -> complex:
-        """Coefficient in front of the word ``g1*...*gk`` as written."""
-        norm = normalize_word(gens)
-        if norm is None:
-            return 0j
-        sign, mask = norm
-        return sign * self.terms.get(mask, 0j)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -239,11 +232,6 @@ class GrassmannElement:
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
             return GrassmannElement({m: other * c for m, c in self.terms.items()})
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * (1 / other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -358,11 +346,3 @@ def _format_term(c: complex, mono: str, first: bool) -> str:
     if first:
         return ("-" if negated else "") + body
     return (" - " if negated else " + ") + body
-
-
-def berezin_integrate(f: GrassmannElement, g: Generator) -> GrassmannElement:
-    return f.berezin(g)
-
-
-def multi_integrate(f: GrassmannElement, measures: Iterable[Generator]) -> GrassmannElement:
-    return f.integrate(measures)

@@ -103,8 +103,6 @@ def _site_vectors(alphas) -> np.ndarray:
 
 def _on_grid(measure, state, sites) -> list[float]:
     """``measure(embed(state, sites))`` at each grid point, as Python floats."""
-    if len(sites[0]) == 0:   # embed cannot shape an empty grid
-        return []
     return measure(embed(state, sites)).tolist()
 
 

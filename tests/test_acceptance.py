@@ -224,7 +224,10 @@ def reference_ghz_degeneracy(n_triples):
     (verify.entropy_forms, reference_entropy_forms, (4, 9), 29, 62),
     (verify.case_b, reference_case_b, (21,), 21 * 21 - 2 + 21, 2),
     (verify.ghz_degeneracy, reference_ghz_degeneracy, (10,), 10, 0),
-], ids=["concurrence-4", "concurrence-8", "entropy-4-9", "case-b-21", "ghz-10"])
+    (verify.concurrence_forms, reference_concurrence_forms, (0,), 0, 0),
+    (verify.ghz_degeneracy, reference_ghz_degeneracy, (0,), 0, 0),
+], ids=["concurrence-4", "concurrence-8", "entropy-4-9", "case-b-21", "ghz-10",
+        "concurrence-0", "ghz-0"])
 def test_grid_check_equals_point_by_point_reference(check, reference, args, points, skips):
     result = check(*args)
     assert result == reference(*args)

@@ -8,10 +8,10 @@ from pseudobell.biortho import (
     DegenerateSpectrum,
     NonRealRegime,
     SystemParams,
-    bases_from_config,
     basis_from_alpha,
     biortho,
     check_pseudo_hermiticity,
+    config_sites,
     eigenbasis,
     hamiltonian,
     ladder_ops,
@@ -208,7 +208,7 @@ def test_config_roundtrip():
     t2 = 1.0
     beta2 = 0.3
     """)
-    bases = bases_from_config(cfg, 2)
+    bases = [basis_from_alpha(alpha, skew=skew) for alpha, skew in config_sites(cfg, 2)]
     assert isinstance(bases[0], BiorthoBasis)
     assert bases[0].alpha == 0.5
     assert abs(math.sin(bases[1].alpha) - math.sin(0.3)) < 1e-14
@@ -220,4 +220,4 @@ def test_config_errors():
     with pytest.raises(ValueError):
         parse_config("alpha1 = abc")
     with pytest.raises(ValueError):
-        bases_from_config({"alpha1": 0.1}, 2)
+        config_sites({"alpha1": 0.1}, 2)

@@ -43,6 +43,21 @@ def test_catalog_counts(capsys):
     assert groups == {"bell": 8, "bell-prime": 8, "ghz": 16, "w": 8, "w-same": 8}
 
 
+def test_padded_name_keeps_its_closed_form(capsys):
+    # the closed form is looked up by the resolved catalog name
+    rows = [json.loads(run(capsys, "measure", "--name", name, "--measure", "avg_entropy",
+                           "--alpha", "0.4", "--format", "json")[1])
+            for name in ("W7 ", "W7")]
+    assert "closed_form" in rows[0]
+    assert (rows[0]["closed_form"], rows[0]["abs_diff"]) == (rows[1]["closed_form"],
+                                                              rows[1]["abs_diff"])
+    sweeps = [run(capsys, "sweep", "--name", name, "--measure", "avg_entropy", "--var", "alpha",
+                  "--range", "0:2pi", "--steps", "5", "--out", "-")[1]
+              for name in (" G1+", "G1+")]
+    assert sweeps[0] == sweeps[1]
+    assert all(row["closed_form"] for row in csv.DictReader(io.StringIO(sweeps[0])))
+
+
 def test_catalog_filter(capsys):
     code, out, _ = run(capsys, "catalog", "--filter", "ghz", "--format", "json")
     assert code == 0

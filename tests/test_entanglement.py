@@ -25,10 +25,8 @@ from pseudobell.entanglement import (
     case_b_concurrence,
     concurrence,
     concurrence_closed_form,
-    density_matrix,
     dominant_pair_state,
     embed,
-    eta_squared_norm,
     linear_entropy,
     normalize,
     partial_trace,
@@ -46,6 +44,11 @@ def embedded(name, *alphas):
     state = bell(name)
     bases = [basis_from_alpha(a) for a in alphas]
     return normalize(embed(state, bases))
+
+
+def density_matrix(vec):
+    vec = np.asarray(vec, dtype=complex)
+    return np.outer(vec, vec.conj())
 
 
 def test_embed_single_ket_hermitian_limit():
@@ -333,21 +336,6 @@ def test_biseparable_pair_concurrence():
         assert abs(got - want) < 1e-10, c.name
 
 
-def test_eta_norm_diagnostic():
-    # eta-weighted norm differs from the Euclidean norm off the Hermitian point
-    state = bell("B2+")
-    bases = [basis_from_alpha(0.5)] * 2
-    vec = embed(state, bases)
-    euclid = float(np.vdot(vec, vec).real)
-    eta_norm = eta_squared_norm(state, bases)
-    assert abs(eta_norm.imag) < 1e-12
-    assert abs(eta_norm.real - euclid) > 1e-3
-    # and coincides with it in the Hermitian limit
-    herm = [basis_from_alpha(0.0)] * 2
-    vec0 = embed(state, herm)
-    assert abs(eta_squared_norm(state, herm).real - float(np.vdot(vec0, vec0).real)) < 1e-12
-
-
 def _measure(vec):
     return concurrence(normalize(vec)) if vec.shape[-1] == 4 else average_entropy(vec)
 
@@ -386,6 +374,23 @@ def test_embed_equals_kronecker_reference():
                 term = np.kron(term, basis.vector(lab.family, lab.level))
             want += term
         assert np.array_equal(embed(state, bases), want), e.name
+
+
+def test_embed_needs_one_basis_per_site():
+    basis = basis_from_alpha(0.3)
+    for count in (1, 3):
+        with pytest.raises(ValueError, match="one basis per site"):
+            embed(bell("B1-"), [basis] * count)
+    with pytest.raises(ValueError, match="one basis per site"):
+        embed(bell("B1-"), [biortho(np.zeros(4))[0]] * 3)
+
+
+def test_embed_empty_grid():
+    empty = biortho(np.array([]))[0]
+    pair = embed(bell("B1-"), [empty] * 2)
+    assert pair.shape == (0, 4) and concurrence(normalize(pair)).shape == (0,)
+    triple = embed(bell("W7"), [empty] * 3)
+    assert triple.shape == (0, 8) and average_entropy(triple).shape == (0,)
 
 
 def test_embed_broadcasts_a_fixed_site():

@@ -8,7 +8,6 @@ from pseudobell.graded_states import (
     bi_overcompleteness,
     coherent_state,
     graded_tensor,
-    move_scalar_left,
     resolution_integral,
     same_family_resolution_residual,
 )
@@ -21,11 +20,11 @@ def lab(site, family, level):
     return BasisLabel(site, family, level)
 
 
-def test_move_scalar_left_signs():
-    assert move_scalar_left(theta(1), lab(1, "psi", 0)) == -1
-    assert move_scalar_left(theta(1), lab(1, "psi", 1)) == 1
-    assert move_scalar_left(theta_bar(2), lab(1, "phi", 0)) == -1
-    assert move_scalar_left(theta_bar(2), lab(2, "phi", 1)) == 1
+def test_move_past_ket_parity_signs():
+    assert lab(1, "psi", 0).parity_sign() == -1
+    assert lab(1, "psi", 1).parity_sign() == 1
+    assert lab(1, "phi", 0).parity_sign() == -1
+    assert lab(2, "phi", 1).parity_sign() == 1
 
 
 def test_coherent_state_two_terms():

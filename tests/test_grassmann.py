@@ -4,9 +4,7 @@ import pytest
 
 from pseudobell.grassmann import (
     GrassmannElement,
-    berezin_integrate,
     format_complex,
-    multi_integrate,
     normalize_word,
     theta,
     theta_bar,
@@ -61,29 +59,28 @@ def test_conjugate_scalar():
 
 
 def test_berezin_basic_rules():
-    assert berezin_integrate(EL.word(theta(1)), theta(1)) == 1
-    assert berezin_integrate(EL.one(), theta(1)) == EL.zero()
-    assert berezin_integrate(EL.word(theta_bar(1)), theta_bar(1)) == 1
+    assert EL.word(theta(1)).berezin(theta(1)) == 1
+    assert EL.one().berezin(theta(1)) == EL.zero()
+    assert EL.word(theta_bar(1)).berezin(theta_bar(1)) == 1
 
 
 def test_berezin_strips_with_sign():
     # int dth2 (th1 th2) = -th1
     f = EL.word(theta(1), theta(2))
-    assert berezin_integrate(f, theta(2)) == -EL.word(theta(1))
+    assert f.berezin(theta(2)) == -EL.word(theta(1))
 
 
-def test_multi_integrate_rightmost_first():
+def test_integrate_rightmost_first():
     t1, t2, t3 = theta(1), theta(2), theta(3)
-    assert multi_integrate(EL.word(t3, t2, t1), [t1, t2, t3]) == 1
-    assert multi_integrate(EL.word(t1, t2), [t1, t2]) == EL.scalar(-1)
-    assert multi_integrate(EL.word(t2), [t1]) == EL.zero()
+    assert EL.word(t3, t2, t1).integrate([t1, t2, t3]) == 1
+    assert EL.word(t1, t2).integrate([t1, t2]) == EL.scalar(-1)
+    assert EL.word(t2).integrate([t1]) == EL.zero()
 
 
 def test_coefficient_respects_word_order():
     f = EL.word(theta(1), theta(2), coeff=3)
-    assert f.coefficient(theta(1), theta(2)) == 3
-    assert f.coefficient(theta(2), theta(1)) == -3
-    assert f.coefficient(theta(3)) == 0
+    assert f.terms == {0b11: 3}   # 3 on the canonical θ1·θ2 and nothing on θ3
+    assert f == EL.word(theta(2), theta(1), coeff=-3)
 
 
 def test_str_rendering():
