@@ -13,12 +13,14 @@ from .biortho import (
     NonRealRegime,
     SystemParams,
     basis_from_alpha,
+    basis_grid,
     biortho,
     check_pseudo_hermiticity,
     eigenbasis,
     hamiltonian,
     ladder_ops,
     parse_config,
+    pseudo_hermiticity_residual,
 )
 from .constructor import (
     CATALOG,

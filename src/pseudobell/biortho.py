@@ -19,7 +19,10 @@ to the familiar (e^{+i a/2}, e^{-i a/2})/sqrt(2 cos a) form.
 
 Because all entanglement figures are parameterized by alpha alone, a basis
 can also be built directly from alpha (``basis_from_alpha``), bypassing
-(r, s, t, beta).
+(r, s, t, beta).  ``basis_grid`` builds it at an array of angles; the
+metric, ``hamiltonian``, ``ladder_ops`` and the pseudo-Hermiticity residual
+take the same leading grid axes, and each scalar function is their G = 1
+case.
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ class NonRealRegime(ValueError):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Hamiltonian parameters (r, s, t, beta); beta in radians."""
+    """Hamiltonian parameters (r, s, t, beta); beta in radians.
+
+    Each field is a float, or an array over grid axes for ``hamiltonian``.
+    """
 
     r: float
     s: float
@@ -64,7 +70,7 @@ class SystemParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.s * self.t <= 0:
+        if (np.asarray(self.s) * self.t <= 0).any():
             raise ValueError("require s*t > 0, otherwise alpha is undefined")
 
 
@@ -72,46 +78,54 @@ class SystemParams:
 class BiorthoBasis:
     """Biorthonormal eigenpair {psi_k, phi_k} with metric eta, eta^{-1}.
 
-    ``vectors`` holds the four site vectors as [family, level, component],
-    family 0 = psi and 1 = phi, the layout ``biortho`` returns per point.
+    ``vectors`` holds the four site vectors as [..., family, level,
+    component], family 0 = psi and 1 = phi, the layout ``biortho`` returns.
+    The leading axes are grid axes: none for ``basis_from_alpha``, (G,) for
+    ``basis_grid``; ``alpha``, ``eta`` and ``eta_inv`` carry the same ones.
+    ``embed`` and the resolution integrals take the G = 1 basis.
     """
 
-    alpha: float
+    alpha: float | np.ndarray
     vectors: np.ndarray
     eta: np.ndarray = field(repr=False)
     eta_inv: np.ndarray = field(repr=False)
 
     @property
     def psi0(self) -> np.ndarray:
-        return self.vectors[0, 0]
+        return self.vectors[..., 0, 0, :]
 
     @property
     def psi1(self) -> np.ndarray:
-        return self.vectors[0, 1]
+        return self.vectors[..., 0, 1, :]
 
     @property
     def phi0(self) -> np.ndarray:
-        return self.vectors[1, 0]
+        return self.vectors[..., 1, 0, :]
 
     @property
     def phi1(self) -> np.ndarray:
-        return self.vectors[1, 1]
+        return self.vectors[..., 1, 1, :]
 
     def vector(self, family: str, level: int) -> np.ndarray:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if level not in (0, 1):
             raise ValueError(f"level must be 0 or 1, got {level}")
-        return self.vectors[FAMILIES.index(family), level]
+        return self.vectors[..., FAMILIES.index(family), level, :]
+
+
+def _dyad(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """|ket><bra| per grid point."""
+    return ket[..., :, None] * bra.conj()[..., None, :]
 
 
 def hamiltonian(p: SystemParams) -> np.ndarray:
-    """The literal 2x2 matrix of the two-level family."""
-    return np.array(
-        [[p.r * np.exp(1j * p.beta), p.s],
-         [p.t, p.r * np.exp(-1j * p.beta)]],
-        dtype=complex,
-    )
+    """The literal 2x2 matrix of the two-level family, shape (..., 2, 2)
+    over the grid axes of the parameters."""
+    r, s, t, beta = np.broadcast_arrays(p.r, p.s, p.t, p.beta)
+    top = np.stack([r * np.exp(1j * beta), s], axis=-1)
+    bottom = np.stack([t, r * np.exp(-1j * beta)], axis=-1)
+    return np.stack([top, bottom], axis=-2)
 
 
 def _mixing_angle(p: SystemParams) -> float:
@@ -158,24 +172,42 @@ def biortho(alpha, skew=1.0) -> tuple[np.ndarray, np.ndarray]:
     return vectors, degenerate
 
 
+def basis_grid(alpha, skew=1.0) -> BiorthoBasis:
+    """The biorthonormal basis and its metric at an array of mixing angles.
+
+    ``alpha`` has shape (G,) and ``skew`` is a scalar or shape (G,), as for
+    ``biortho``; every field of the result carries the leading (G,) axis.
+
+    Raises
+    ------
+    DegenerateSpectrum
+        When |cos alpha| < 1e-10 at any point and the normalization diverges.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    vectors, degenerate = biortho(alpha, skew)
+    if degenerate.any():
+        bad = alpha[degenerate][0]
+        raise DegenerateSpectrum(
+            f"|cos(alpha)| < {DEGENERACY_TOL:g} at alpha = {bad:.6g}; "
+            "the biorthonormal basis is undefined at the degeneracy boundary")
+    # eta = sum_k |phi_k><phi_k|, eta^{-1} = sum_k |psi_k><psi_k|
+    psi, phi = vectors[:, 0], vectors[:, 1]
+    return BiorthoBasis(alpha=alpha, vectors=vectors,
+                        eta=np.swapaxes(phi, 1, 2) @ phi.conj(),
+                        eta_inv=np.swapaxes(psi, 1, 2) @ psi.conj())
+
+
 def basis_from_alpha(alpha: float, skew: float = 1.0) -> BiorthoBasis:
-    """The biorthonormal basis at one mixing angle: ``biortho`` at G = 1.
+    """The biorthonormal basis at one mixing angle: ``basis_grid`` at G = 1.
 
     Raises
     ------
     DegenerateSpectrum
         When |cos alpha| < 1e-10 and the normalization diverges.
     """
-    vectors, degenerate = biortho(np.array([alpha]), skew)
-    if degenerate[0]:
-        raise DegenerateSpectrum(
-            f"|cos(alpha)| < {DEGENERACY_TOL:g} at alpha = {alpha:.6g}; "
-            "the biorthonormal basis is undefined at the degeneracy boundary")
-    v = vectors[0]
-    # eta = sum_k |phi_k><phi_k|, eta^{-1} = sum_k |psi_k><psi_k|
-    eta = v[1].T @ v[1].conj()
-    eta_inv = v[0].T @ v[0].conj()
-    return BiorthoBasis(alpha=alpha, vectors=v, eta=eta, eta_inv=eta_inv)
+    grid = basis_grid(np.array([alpha]), skew)
+    return BiorthoBasis(alpha=alpha, vectors=grid.vectors[0], eta=grid.eta[0],
+                        eta_inv=grid.eta_inv[0])
 
 
 def site_params(p: SystemParams) -> tuple[float, float]:
@@ -198,12 +230,14 @@ def eigenbasis(p: SystemParams) -> BiorthoBasis:
     return basis_from_alpha(alpha, skew=skew)
 
 
+def pseudo_hermiticity_residual(basis: BiorthoBasis, h: np.ndarray) -> np.ndarray:
+    """H^dag - eta H eta^{-1} per grid point, for the metric of ``basis``."""
+    return np.swapaxes(h, -1, -2).conj() - basis.eta @ h @ basis.eta_inv
+
+
 def check_pseudo_hermiticity(p: SystemParams) -> float:
     """Max-abs residual of H^dag - eta H eta^{-1} for the eigenbasis metric."""
-    basis = eigenbasis(p)
-    h = hamiltonian(p)
-    residual = h.conj().T - basis.eta @ h @ basis.eta_inv
-    return float(np.max(np.abs(residual)))
+    return float(np.max(np.abs(pseudo_hermiticity_residual(eigenbasis(p), hamiltonian(p)))))
 
 
 @dataclass(frozen=True)
@@ -222,21 +256,21 @@ class LadderOps:
 
 
 def ladder_ops(basis: BiorthoBasis) -> LadderOps:
-    b = np.outer(basis.psi0, basis.phi1.conj())
-    b_sharp = np.outer(basis.psi1, basis.phi0.conj())
-    b_tilde = np.outer(basis.phi0, basis.psi1.conj())
-    b_tilde_sharp = np.outer(basis.phi1, basis.psi0.conj())
-    return LadderOps(b=b, b_sharp=b_sharp, b_tilde=b_tilde, b_tilde_sharp=b_tilde_sharp)
+    """The four ladder operators per grid point of ``basis``."""
+    return LadderOps(b=_dyad(basis.psi0, basis.phi1), b_sharp=_dyad(basis.psi1, basis.phi0),
+                     b_tilde=_dyad(basis.phi0, basis.psi1),
+                     b_tilde_sharp=_dyad(basis.phi1, basis.psi0))
 
 
 # -- key-value config files -------------------------------------------------
 #
 # One "key = value" pair per line, '#' starts a comment.  Site i is set
 # either by alpha<i> alone or by the full quadruple r<i>, s<i>, t<i>, beta<i>.
+# Every key must set a site, once: anything else is rejected, not ignored.
 
 
 def parse_config(text: str) -> dict[str, float]:
-    """Parse a key-value config into a {key: float} mapping."""
+    """Parse a key-value config into a {key: finite float} mapping."""
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -245,24 +279,35 @@ def parse_config(text: str) -> dict[str, float]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"config line {lineno}: {key} is set twice")
         try:
-            out[key.strip()] = float(value.strip())
+            out[key] = float(value.strip())
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad number {value.strip()!r}") from exc
+        if not math.isfinite(out[key]):
+            raise ValueError(f"config line {lineno}: {key} must be finite, got {value.strip()!r}")
     return out
 
 
 def config_sites(cfg: dict[str, float], n_sites: int) -> list[tuple[float, float]]:
     """(alpha, skew) per site from a parsed config mapping."""
+    quads = {i: [f"r{i}", f"s{i}", f"t{i}", f"beta{i}"] for i in range(1, n_sites + 1)}
+    known = {k for i, quad in quads.items() for k in [f"alpha{i}", *quad]}
+    unknown = [k for k in cfg if k not in known]
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} sets none of the {n_sites} sites")
     sites = []
-    for i in range(1, n_sites + 1):
+    for i, quad in quads.items():
+        given = [k for k in quad if k in cfg]
         if f"alpha{i}" in cfg:
+            if given:
+                raise ValueError(f"site {i}: config sets both alpha{i} and {given[0]}")
             sites.append((cfg[f"alpha{i}"], 1.0))
-            continue
-        quad = [f"r{i}", f"s{i}", f"t{i}", f"beta{i}"]
-        if all(k in cfg for k in quad):
+        elif len(given) == len(quad):
             sites.append(site_params(SystemParams(*(cfg[k] for k in quad))))
-            continue
-        raise ValueError(
-            f"site {i}: config needs either alpha{i} or all of r{i}, s{i}, t{i}, beta{i}")
+        else:
+            raise ValueError(
+                f"site {i}: config needs either alpha{i} or all of r{i}, s{i}, t{i}, beta{i}")
     return sites

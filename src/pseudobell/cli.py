@@ -48,15 +48,31 @@ _PI_RE = re.compile(r"^\s*(-)?\s*(\d+(?:\.\d*)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))
                     re.IGNORECASE)
 
 
+def parse_finite(text: str) -> float:
+    """Parse a finite float; nan and inf raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def parse_angle(text: str) -> float:
-    """Parse a radian value, accepting 'pi' fractions like '3pi/2'."""
+    """Parse a finite radian value, accepting 'pi' fractions like '3pi/2'.
+
+    A zero denominator, nan and inf raise ValueError.
+    """
     m = _PI_RE.match(text)
-    if m:
-        sign = -1.0 if m.group(1) else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
-    return float(text)
+    if not m:
+        return parse_finite(text)
+    sign = -1.0 if m.group(1) else 1.0
+    num = float(m.group(2)) if m.group(2) else 1.0
+    den = float(m.group(3)) if m.group(3) else 1.0
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    value = sign * num * math.pi / den
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite angle: {text!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -252,6 +268,8 @@ def cmd_measure(args) -> int:
     name, state = _measured_state(args.name, args.measure)
     points = _resolve(args, state.n_sites, {})
     [(angles, case_b)] = _rows(points)
+    if case_b is not None and case_b[0] == 0:
+        raise SystemExit2("case b needs s != 0: alpha is undefined at s = 0")
     if case_b is not None and math.isnan(angles[0]):
         raise SystemExit2("case b needs |delta| <= 2|s| for a real spectrum")
     values, degenerate = _evaluate(state, args.measure, points)
@@ -358,8 +376,8 @@ def _add_angle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha1", type=parse_angle)
     p.add_argument("--alpha2", type=parse_angle)
     p.add_argument("--alpha3", type=parse_angle)
-    p.add_argument("--s", type=float, help="case-b coupling (with --delta)")
-    p.add_argument("--delta", type=float, help="case-b decay rate (with --s)")
+    p.add_argument("--s", type=parse_finite, help="case-b coupling (with --delta)")
+    p.add_argument("--delta", type=parse_finite, help="case-b decay rate (with --s)")
 
 
 def _parse_range(text: str) -> tuple[float, float]:

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 # so the offset only caps the number of distinct sites, not memory.
 MAX_SITES = 64
 _CONJ_OFFSET = MAX_SITES
+_PLAIN_MASK = (1 << _CONJ_OFFSET) - 1
 
 
 @dataclass(frozen=True)
@@ -250,14 +251,19 @@ class GrassmannElement:
 
     def conjugate(self) -> "GrassmannElement":
         """Hermitian conjugation: theta <-> thetabar, word order reversed,
-        coefficients complex-conjugated."""
+        coefficients complex-conjugated.
+
+        A canonical word is p plain generators followed by q conjugate ones.
+        Reversed and conjugated it is q plain generators followed by p
+        conjugate ones, each block in descending order, so re-sorting costs
+        p(p-1)/2 + q(q-1)/2 transpositions.
+        """
         out: dict[int, complex] = {}
         for mask, c in self.terms.items():
-            word = [_code_to_generator(code).conjugated()
-                    for code in reversed(_mask_codes(mask))]
-            norm = normalize_word(word)
-            sign, new_mask = norm  # bijection on codes, never zero
-            out[new_mask] = out.get(new_mask, 0j) + sign * c.conjugate()
+            plain, conj = mask & _PLAIN_MASK, mask >> _CONJ_OFFSET
+            p, q = plain.bit_count(), conj.bit_count()
+            sign = -1 if ((p * (p - 1) + q * (q - 1)) // 2) & 1 else 1
+            out[conj | plain << _CONJ_OFFSET] = sign * c.conjugate()
         return GrassmannElement(out)
 
     def berezin(self, g: Generator) -> "GrassmannElement":

@@ -11,7 +11,10 @@ The grid checks (``concurrence_forms``, ``case_b``, ``entropy_forms`` and
 ``ghz_degeneracy``) first decide which points to skip, then evaluate each
 state in one kernel call over the kept points, as ``pseudobell sweep`` does:
 ``biortho`` -> ``embed`` -> measure.  The closed forms stay scalar ``math``
-oracles, called once per kept point.
+oracles, called once per kept point.  ``structure`` does the same on its
+(r, s, t, beta) grid: it skips point by point, then builds the basis, metric,
+ladder operators, Hamiltonian and pseudo-Hermiticity residual of every kept
+point in one call each.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import numpy as np
 from .biortho import (
     SystemParams,
     basis_from_alpha,
+    basis_grid,
     biortho,
-    check_pseudo_hermiticity,
-    eigenbasis,
+    hamiltonian,
     ladder_ops,
+    pseudo_hermiticity_residual,
+    site_params,
 )
 from .constructor import all_biseparable, build_state, catalog, catalog_entries, solve_weight
 from .entanglement import (
@@ -46,7 +51,7 @@ from .entanglement import (
     schmidt_ratio,
 )
 from .graded_states import bi_overcompleteness, coherent_state, same_family_resolution_residual
-from .grassmann import GrassmannElement, theta, theta_bar
+from .grassmann import GrassmannElement, normalize_word, theta, theta_bar
 
 #: densities used by ``pseudobell verify``
 CONCURRENCE_STEPS = 11    # per angle over [0, 2 pi)
@@ -58,6 +63,7 @@ GRASSMANN_CASES = 200
 
 GHZ_SEED = 101
 GRASSMANN_SEED = 2024
+_GRASSMANN_GENS = (theta(1), theta(2), theta_bar(1), theta_bar(2))
 
 #: below this |cos alpha| a grid point is skipped: the basis is degenerate
 _SKIP_COS = 1e-9
@@ -257,6 +263,11 @@ def ghz_degeneracy(n_triples: int) -> CheckResult:
                        detail=f"spread across {len(states)} members")
 
 
+def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Matrix times vector at each grid point."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
 def structure() -> CheckResult:
     """Biorthonormality, completeness, eta psi_k = phi_k, eta eta^-1 = I,
     pseudo-Hermiticity and the b/b~ ladder action on the (r, s, t, beta)
@@ -264,25 +275,28 @@ def structure() -> CheckResult:
     stay at least 0.01 off the identity."""
     tol = 1e-12
     eye = np.eye(2)
-    worst, points, skipped = 0.0, 0, []
+    kept, sites, skipped = [], [], []
     axis = (0.5, 1.0, 2.0)
     for r, s, t, beta in itertools.product(axis, axis, axis, (0.0, 0.3, -0.3, 1.0, -1.0)):
         if abs(r * math.sin(beta)) >= math.sqrt(s * t) - 1e-9:
             skipped.append(f"r={r} s={s} t={t} beta={beta}: at/beyond degeneracy")
             continue
-        p = SystemParams(r, s, t, beta)
-        b = eigenbasis(p)
-        ops = ladder_ops(b)
-        psis, phis = (b.psi0, b.psi1), (b.phi0, b.phi1)
-        gram = np.array([[np.vdot(phis[i], psis[j]) for j in range(2)] for i in range(2)])
-        completeness = sum(np.outer(psis[k], phis[k].conj()) for k in range(2))
-        for residual in (gram - eye, completeness - eye, b.eta @ b.eta_inv - eye,
-                         b.eta @ b.psi0 - b.phi0, b.eta @ b.psi1 - b.phi1,
-                         ops.b @ b.psi1 - b.psi0, ops.b @ b.psi0,
-                         ops.b_tilde @ b.phi1 - b.phi0, ops.b_tilde @ b.phi0):
-            worst = max(worst, float(np.max(np.abs(residual))))
-        worst = max(worst, check_pseudo_hermiticity(p))
-        points += 1
+        kept.append((r, s, t, beta))
+        sites.append(site_params(SystemParams(r, s, t, beta)))
+    alphas, skews = np.array(sites).T
+    b = basis_grid(alphas, skews)
+    ops = ladder_ops(b)
+    psis, phis = b.vectors[:, 0], b.vectors[:, 1]
+    gram = phis.conj() @ np.swapaxes(psis, -1, -2)
+    completeness = np.swapaxes(psis, -1, -2) @ phis.conj()
+    h = hamiltonian(SystemParams(*np.array(kept).T))
+    worst = max(float(np.max(np.abs(residual))) for residual in (
+        gram - eye, completeness - eye, b.eta @ b.eta_inv - eye,
+        _apply(b.eta, b.psi0) - b.phi0, _apply(b.eta, b.psi1) - b.phi1,
+        _apply(ops.b, b.psi1) - b.psi0, _apply(ops.b, b.psi0),
+        _apply(ops.b_tilde, b.phi1) - b.phi0, _apply(ops.b_tilde, b.phi0),
+        pseudo_hermiticity_residual(b, h)))
+    points = len(kept)
     for alpha in (0.0, 0.3, 0.5, -0.8, 1.2):
         worst = max(worst, bi_overcompleteness(basis_from_alpha(alpha))[1])
         points += 1
@@ -321,32 +335,43 @@ def biseparability() -> CheckResult:
                        len(constructions), detail=f"max schmidt ratio {ratio:.2e} (needs < 1e-12)")
 
 
-def grassmann_laws(n_cases: int) -> CheckResult:
-    """Associativity, distributivity, double-integral vanishing, Berezin
-    linearity and conjugation involution on n_cases seeded random elements
-    over theta_1, theta_2 and their conjugates; anticommutativity and
-    nilpotency on every generator pair.  The residual counts violations."""
+def _grassmann_cases(n_cases: int):
+    """The seeded law inputs: per case three random elements a, b, c, one
+    generator g and two scalars za, zb.
+
+    An element sums up to four random words over theta_1, theta_2 and their
+    conjugates, each with a random Gaussian-integer coefficient.
+    """
     rng = random.Random(GRASSMANN_SEED)
-    gens = [theta(1), theta(2), theta_bar(1), theta_bar(2)]
-    word = GrassmannElement.word
 
     def scalar():
         return complex(rng.randrange(-4, 5), rng.randrange(-4, 5))
 
     def element():
-        out = GrassmannElement.zero()
+        terms: dict[int, complex] = {}
         for _ in range(rng.randrange(5)):
-            out = out + word(*rng.sample(gens, rng.randrange(len(gens) + 1)), coeff=scalar())
-        return out
+            size = rng.randrange(len(_GRASSMANN_GENS) + 1)
+            # sample draws distinct generators, so the word is never zero
+            sign, mask = normalize_word(rng.sample(_GRASSMANN_GENS, size))
+            terms[mask] = terms.get(mask, 0j) + sign * scalar()
+        return GrassmannElement(terms)
 
-    violations = 0
-    for g, h in itertools.product(gens, repeat=2):
-        gh = word(g) * word(h)
-        violations += not (gh.is_zero() if g == h else gh == -(word(h) * word(g)))
     for _ in range(n_cases):
         a, b, c = element(), element(), element()
-        g = rng.choice(gens)
-        za, zb = scalar(), scalar()
+        yield a, b, c, rng.choice(_GRASSMANN_GENS), scalar(), scalar()
+
+
+def grassmann_laws(n_cases: int) -> CheckResult:
+    """Associativity, distributivity, double-integral vanishing, Berezin
+    linearity and conjugation involution on n_cases seeded random elements
+    over theta_1, theta_2 and their conjugates; anticommutativity and
+    nilpotency on every generator pair.  The residual counts violations."""
+    word = GrassmannElement.word
+    violations = 0
+    for g, h in itertools.product(_GRASSMANN_GENS, repeat=2):
+        gh = word(g) * word(h)
+        violations += not (gh.is_zero() if g == h else gh == -(word(h) * word(g)))
+    for a, b, c, g, za, zb in _grassmann_cases(n_cases):
         laws = ((a * b) * c == a * (b * c),
                 a * (b + c) == a * b + a * c,
                 a.berezin(g).berezin(g).is_zero(),

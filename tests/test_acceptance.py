@@ -9,7 +9,9 @@ to see each check's line.
 The grid checks evaluate each state in one kernel call over the whole grid.
 The point-by-point references below walk the same grids through the G = 1 API
 (``basis_from_alpha`` -> ``embed`` -> measure -> scalar closed form); each
-check must return a ``CheckResult`` equal to its reference's.
+check must return a ``CheckResult`` equal to its reference's.  ``structure``
+is held to its per-point reference the same way, up to the residual's
+rounding, and ``grassmann_laws`` to the input generator it replaced.
 """
 
 import itertools
@@ -21,7 +23,13 @@ import numpy as np
 import pytest
 
 from pseudobell import verify
-from pseudobell.biortho import basis_from_alpha
+from pseudobell.biortho import (
+    SystemParams,
+    basis_from_alpha,
+    check_pseudo_hermiticity,
+    eigenbasis,
+    ladder_ops,
+)
 from pseudobell.constructor import all_biseparable, build_state, catalog, catalog_entries
 from pseudobell.entanglement import (
     average_entropy,
@@ -34,6 +42,8 @@ from pseudobell.entanglement import (
     embed,
     normalize,
 )
+from pseudobell.graded_states import bi_overcompleteness, same_family_resolution_residual
+from pseudobell.grassmann import GrassmannElement, theta, theta_bar
 from pseudobell.verify import CheckResult
 
 
@@ -251,3 +261,73 @@ def test_concurrence_singular_closed_form_skips_match_reference(monkeypatch):
     assert {reason.split(": ")[-1] for reason in result.skipped} == \
         {"degenerate basis", "singular closed form"}
     assert (result.points, len(result.skipped)) == (16 * 8 + 2 * 3, 16 * 8 + 2)
+
+
+def reference_structure():
+    tol = 1e-12
+    eye = np.eye(2)
+    worst, points, skipped = 0.0, 0, []
+    axis = (0.5, 1.0, 2.0)
+    for r, s, t, beta in itertools.product(axis, axis, axis, (0.0, 0.3, -0.3, 1.0, -1.0)):
+        if abs(r * math.sin(beta)) >= math.sqrt(s * t) - 1e-9:
+            skipped.append(f"r={r} s={s} t={t} beta={beta}: at/beyond degeneracy")
+            continue
+        p = SystemParams(r, s, t, beta)
+        b = eigenbasis(p)
+        ops = ladder_ops(b)
+        psis, phis = (b.psi0, b.psi1), (b.phi0, b.phi1)
+        gram = np.array([[np.vdot(phis[i], psis[j]) for j in range(2)] for i in range(2)])
+        completeness = sum(np.outer(psis[k], phis[k].conj()) for k in range(2))
+        for residual in (gram - eye, completeness - eye, b.eta @ b.eta_inv - eye,
+                         b.eta @ b.psi0 - b.phi0, b.eta @ b.psi1 - b.phi1,
+                         ops.b @ b.psi1 - b.psi0, ops.b @ b.psi0,
+                         ops.b_tilde @ b.phi1 - b.phi0, ops.b_tilde @ b.phi0):
+            worst = max(worst, float(np.max(np.abs(residual))))
+        worst = max(worst, check_pseudo_hermiticity(p))
+        points += 1
+    for alpha in (0.0, 0.3, 0.5, -0.8, 1.2):
+        worst = max(worst, bi_overcompleteness(basis_from_alpha(alpha))[1])
+        points += 1
+    gap = same_family_resolution_residual(basis_from_alpha(0.5), "psi")
+    return CheckResult("structure", worst <= tol and gap >= 0.01, worst, tol, points,
+                       tuple(skipped), f"same-family integral off identity by {gap:.3f} "
+                       "at alpha=0.5 (needs >= 0.01)")
+
+
+def test_structure_grid_equals_point_by_point_reference():
+    result, reference = verify.structure(), reference_structure()
+    assert replace(result, residual=0.0) == replace(reference, residual=0.0)
+    # Both residuals are max-abs deviations of O(1) entries.  The grid forms
+    # its Gram, completeness and matrix-vector products in another summation
+    # order, so the bound is one ulp of 1; the worst residual on this grid is
+    # the pseudo-Hermiticity one, whose rows equal their G = 1 calls.
+    assert abs(result.residual - reference.residual) <= np.finfo(float).eps
+
+
+def reference_grassmann_cases(n_cases):
+    rng = random.Random(verify.GRASSMANN_SEED)
+    gens = [theta(1), theta(2), theta_bar(1), theta_bar(2)]
+    word = GrassmannElement.word
+
+    def scalar():
+        return complex(rng.randrange(-4, 5), rng.randrange(-4, 5))
+
+    def element():
+        out = GrassmannElement.zero()
+        for _ in range(rng.randrange(5)):
+            out = out + word(*rng.sample(gens, rng.randrange(len(gens) + 1)), coeff=scalar())
+        return out
+
+    for _ in range(n_cases):
+        a, b, c = element(), element(), element()
+        g = rng.choice(gens)
+        za, zb = scalar(), scalar()
+        yield a, b, c, g, za, zb
+
+
+def test_grassmann_law_inputs_equal_the_word_by_word_reference():
+    cases = list(verify._grassmann_cases(verify.GRASSMANN_CASES))
+    assert len(cases) == 200
+    assert cases == list(reference_grassmann_cases(verify.GRASSMANN_CASES))
+    # the cases are not degenerate: most elements have several terms
+    assert sum(len(x.terms) > 1 for case in cases for x in case[:3]) > 300

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudobell.biortho import (
     BiorthoBasis,
@@ -9,6 +11,7 @@ from pseudobell.biortho import (
     NonRealRegime,
     SystemParams,
     basis_from_alpha,
+    basis_grid,
     biortho,
     check_pseudo_hermiticity,
     config_sites,
@@ -16,6 +19,7 @@ from pseudobell.biortho import (
     hamiltonian,
     ladder_ops,
     parse_config,
+    pseudo_hermiticity_residual,
 )
 
 GRID_RST = (0.5, 1.0, 2.0)
@@ -150,6 +154,40 @@ def test_biortho_grid_matches_scalar_basis_and_flags_degeneracy():
             for k, family in enumerate(("psi", "phi")):
                 for level in (0, 1):
                     assert np.array_equal(basis.vector(family, level), row[k, level])
+
+
+_ANGLE = st.floats(-7, 7).filter(lambda a: abs(math.cos(a)) > 1e-6)
+_SKEW = st.one_of(st.just(1.0), st.floats(0.25, 4), st.floats(-4, -0.25))
+_POINT = st.tuples(_ANGLE, _SKEW, st.floats(-3, 3), st.floats(0.1, 3), st.floats(0.1, 3),
+                   st.floats(-4, 4))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.lists(_POINT, min_size=1, max_size=12))
+def test_grid_operators_equal_their_g1_calls(points):
+    # each scalar operator is the G = 1 case of its grid form, so every grid
+    # row equals the scalar call bit for bit, at any skew sign
+    alphas, skews, *params = (np.array(column) for column in zip(*points))
+    grid = basis_grid(alphas, skews)
+    ops = ladder_ops(grid)
+    h = hamiltonian(SystemParams(*params))
+    residual = pseudo_hermiticity_residual(grid, h)
+    assert grid.eta.shape == h.shape == residual.shape == (len(points), 2, 2)
+    for g, (alpha, skew, *point) in enumerate(points):
+        basis = basis_from_alpha(alpha, skew)
+        h1 = hamiltonian(SystemParams(*point))
+        assert np.array_equal(grid.vectors[g], basis.vectors)
+        assert np.array_equal(grid.eta[g], basis.eta)
+        assert np.array_equal(grid.eta_inv[g], basis.eta_inv)
+        for name in ("b", "b_sharp", "b_tilde", "b_tilde_sharp"):
+            assert np.array_equal(getattr(ops, name)[g], getattr(ladder_ops(basis), name))
+        assert np.array_equal(h[g], h1)
+        assert np.array_equal(residual[g], pseudo_hermiticity_residual(basis, h1))
+
+
+def test_basis_grid_names_the_first_degenerate_angle():
+    with pytest.raises(DegenerateSpectrum, match="alpha = 1.5708"):
+        basis_grid(np.array([0.3, math.pi / 2, -math.pi / 2]))
 
 
 def test_biortho_per_point_skew():

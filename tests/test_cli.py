@@ -27,8 +27,9 @@ def test_parse_angle():
     assert parse_angle("3pi/2") == 3 * math.pi / 2
     assert parse_angle("2pi") == 2 * math.pi
     assert parse_angle("0.7") == 0.7
-    with pytest.raises(ValueError):
-        parse_angle("pie")
+    for text in ("pie", "pi/0", "3pi/0.0", "nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ValueError):
+            parse_angle(text)
 
 
 def test_catalog_counts(capsys):
@@ -187,7 +188,14 @@ def test_measure_config_honours_skew(tmp_path, capsys):
     ("r1 = 2\ns1 = 1\nt1 = 1\nbeta1 = 1.5\nalpha2 = 0.3\n", "spectrum is not real"),
     ("alpha1 = abc\nalpha2 = 0.3\n", "bad number"),
     ("r1 = 1\ns1 = 1\nalpha2 = 0.3\n", "needs either alpha1 or all of"),
-], ids=["beyond-real-regime", "bad-number", "incomplete-site"])
+    ("alpha1 = 0.1\nalpha2 = 0.3\nfoo = 1\n", "config key 'foo' sets none of the 2 sites"),
+    ("alpha1 = 0.1\nalpha2 = 0.3\nalpha9 = 1\n", "config key 'alpha9' sets none"),
+    ("alpha1 = 0.1\nalpha2 = 0.3\nalpha1 = 0.2\n", "config line 3: alpha1 is set twice"),
+    ("alpha1 = 0.1\nr1 = 1\ns1 = 1\nt1 = 1\nbeta1 = 0.2\nalpha2 = 0.3\n",
+     "site 1: config sets both alpha1 and r1"),
+    ("alpha1 = nan\nalpha2 = 0.3\n", "config line 1: alpha1 must be finite"),
+], ids=["beyond-real-regime", "bad-number", "incomplete-site", "unknown-key",
+        "key-of-no-site", "repeated-key", "both-site-forms", "non-finite-value"])
 def test_measure_config_errors_exit_2(tmp_path, capsys, text, reason):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -335,6 +343,32 @@ def test_ignored_or_out_of_range_inputs_are_rejected(capsys, argv):
     code, out, _ = run(capsys, command, "--name", "B2-", "--measure", "concurrence", *rest)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--alpha", "pi/0"],
+    ["measure", "--alpha", "nan"],
+    ["measure", "--alpha", "inf"],
+    ["measure", "--s", "nan", "--delta", "0"],
+    ["measure", "--s", "1", "--delta", "inf"],
+    ["sweep", "--var", "alpha", "--range", "0:inf", "--steps", "3", "--out", "-"],
+], ids=["zero-denominator", "nan-angle", "inf-angle", "nan-s", "inf-delta", "inf-range-end"])
+def test_unparseable_numbers_are_argument_errors(capsys, argv):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--name", "B2-", "--measure", "concurrence", *rest])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+def test_measure_case_b_at_s_zero_names_s(capsys):
+    # |delta| <= 2|s| holds at s = delta = 0; the fault is that alpha is undefined
+    code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                         "--s", "0", "--delta", "0")
+    assert code == 2
+    assert out == "" and err == "error: case b needs s != 0: alpha is undefined at s = 0\n"
 
 
 # -- the batched sweep kernel -------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pseudobell.grassmann import (
+    MAX_SITES,
     GrassmannElement,
     format_complex,
     normalize_word,
@@ -178,6 +179,26 @@ def test_conjugation_is_involution():
     for _ in range(300):
         f = _random_element(rng, gens)
         assert f.conjugate().conjugate() == f
+
+
+def _word_conjugate(f):
+    """Conjugation by its definition: reverse each word, swap theta <->
+    thetabar, re-sort with normalize_word and conjugate the coefficient."""
+    gens = _generators(MAX_SITES)
+    out = EL.zero()
+    for mask, c in f.terms.items():
+        word = [g for g in gens if mask >> g.code & 1]
+        out = out + EL.word(*(g.conjugated() for g in reversed(word)), coeff=c.conjugate())
+    return out
+
+
+def test_conjugate_on_the_mask_equals_the_word_based_reference():
+    rng = random.Random(17)
+    top = [theta(MAX_SITES), theta_bar(MAX_SITES)]
+    for _ in range(500):
+        gens = rng.sample(_generators(MAX_SITES), 6) + top
+        f = _random_element(rng, gens, max_terms=6)
+        assert f.conjugate() == _word_conjugate(f)
 
 
 def test_scalar_element_hashes_like_its_value():
