@@ -82,7 +82,7 @@ class BiorthoBasis:
     component], family 0 = psi and 1 = phi, the layout ``biortho`` returns.
     The leading axes are grid axes: none for ``basis_from_alpha``, (G,) for
     ``basis_grid``; ``alpha``, ``eta`` and ``eta_inv`` carry the same ones.
-    ``embed`` and the resolution integrals take the G = 1 basis.
+    ``embed`` broadcasts any grid axes; the resolution integrals take G = 1.
     """
 
     alpha: float | np.ndarray

@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .constructor import (
     solve_weight,
 )
 from .entanglement import (
-    SingularDenominator,
     average_entropy,
     average_entropy_closed_form,
     case_b_alpha,
@@ -48,11 +48,18 @@ _PI_RE = re.compile(r"^\s*(-)?\s*(\d+(?:\.\d*)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))
                     re.IGNORECASE)
 
 
+class _BadNumber(argparse.ArgumentTypeError, ValueError):
+    """A rejected number: a ValueError, whose reason argparse prints."""
+
+
 def parse_finite(text: str) -> float:
     """Parse a finite float; nan and inf raise ValueError."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise _BadNumber(str(exc)) from None
     if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
+        raise _BadNumber(f"not a finite number: {text!r}")
     return value
 
 
@@ -68,15 +75,11 @@ def parse_angle(text: str) -> float:
     num = float(m.group(2)) if m.group(2) else 1.0
     den = float(m.group(3)) if m.group(3) else 1.0
     if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise _BadNumber(f"zero denominator in {text!r}")
     value = sign * num * math.pi / den
     if not math.isfinite(value):
-        raise ValueError(f"not a finite angle: {text!r}")
+        raise _BadNumber(f"not a finite angle: {text!r}")
     return value
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # -- per-command implementations -------------------------------------------------
@@ -128,7 +131,7 @@ def cmd_build(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["labels", "re", "im"])
         for item in state.to_json_terms():
-            writer.writerow([";".join(item["labels"]), _fmt(item["re"]), _fmt(item["im"])])
+            writer.writerow([";".join(item["labels"]), item["re"], item["im"]])
     else:
         print(str(state))
     return 0
@@ -212,78 +215,66 @@ def _resolve(args, n_sites: int, swept: dict[str, np.ndarray]) -> _Points:
     return _Points([given[k] for k in keys], [1.0] * n_sites)
 
 
-def _measured_state(name: str, measure: str) -> tuple[str, StateVector]:
-    """The resolved catalog name and its state, built once per command."""
+def _measured_state(name: str, measure: str) -> tuple[StateVector, Callable | None]:
+    """The state of a catalog name, built once per command, and its closed
+    form as f(site angles, case-b (s, delta) or None), or None."""
     entry = catalog(name)
     state = build_state(entry.weight, entry.spec)
     sites, word = (2, "two") if measure == "concurrence" else (3, "three")
     if state.n_sites != sites:
         raise SystemExit2(f"{name} is not a {word}-site state")
-    return entry.name, state
+    name = entry.name
+    if measure == "concurrence":
+        bell = name.removesuffix("-same") + ("-" if name.endswith("-same") else "")
+        if bell in ("B2-", "B3-"):
+            return state, lambda angles, s_delta: (case_b_concurrence(*s_delta) if s_delta
+                                                   else concurrence_closed_form(bell, *angles))
+        return state, lambda angles, _: concurrence_closed_form(bell, *angles)
+    if name.startswith("G") or name in ("W7", "W7---", "W6-+-", "W6+-+"):
+        family = name[:2] if name.startswith("W") else "G"
+        return state, lambda angles, _: average_entropy_closed_form(family, *angles)
+    return state, None
 
 
-def _evaluate(state: StateVector, measure: str, points: _Points) -> tuple[np.ndarray, np.ndarray]:
-    """The measure at every point, and where the basis is degenerate (NaN)."""
-    sites, degenerate = [], False
-    for angles, skew in zip(points.angles, points.skews):
-        vectors, flags = biortho(angles, skew)
-        sites.append(vectors)
-        degenerate = degenerate | flags
-    vec = embed(state, sites)
+def _point_rows(state: StateVector, measure: str, closed_form: Callable | None,
+                points: _Points):
+    """Per point: the site angles, the measured value, whether the basis is
+    degenerate (the value is then NaN) and the closed form, or None."""
+    vectors, flags = zip(*(biortho(a, skew) for a, skew in zip(points.angles, points.skews)))
+    degenerate = np.logical_or.reduce(flags)
+    vec = embed(state, vectors)
     values = concurrence(normalize(vec)) if measure == "concurrence" else average_entropy(vec)
-    return values, degenerate
-
-
-def _closed_form_for(name: str, measure: str, angles: list[float],
-                     case_b: tuple[float, float] | None) -> float | None:
-    """The closed form at one point for a resolved catalog name, if any."""
-    if case_b is not None and math.isnan(angles[0]):
-        return None   # |delta| > 2|s|: no real spectrum
-    try:
-        if measure == "concurrence":
-            bell_name = name.removesuffix("-same") + ("-" if name.endswith("-same") else "")
-            if case_b is not None and bell_name in ("B2-", "B3-"):
-                return case_b_concurrence(*case_b)
-            return concurrence_closed_form(bell_name, angles[0], angles[1])
-        if name.startswith("G"):
-            return average_entropy_closed_form("G", *angles)
-        if name in ("W7", "W7---"):
-            return average_entropy_closed_form("W7", *angles)
-        if name in ("W6-+-", "W6+-+"):
-            return average_entropy_closed_form("W6", *angles)
-    except (ValueError, SingularDenominator):
-        return None
-    return None
-
-
-def _rows(points: _Points) -> list[tuple[list[float], tuple[float, float] | None]]:
-    """Per point: the site angles and the case-b (s, delta), as Python floats."""
-    angles = [list(row) for row in zip(*(a.tolist() for a in points.angles))]
-    if points.case_b is None:
-        return [(row, None) for row in angles]
-    return list(zip(angles, zip(*(x.tolist() for x in points.case_b))))
+    # the closed forms hold for the symmetric (s = t) family only
+    if not all(abs(k) == 1 for k in points.skews):
+        closed_form = None
+    s_deltas = (zip(*(x.tolist() for x in points.case_b)) if points.case_b is not None
+                else itertools.repeat(None))
+    for angles, value, flag, s_delta in zip(zip(*(a.tolist() for a in points.angles)),
+                                           values.tolist(), degenerate.tolist(), s_deltas):
+        closed = None
+        if closed_form is not None and not math.isnan(angles[0]):   # NaN: |delta| > 2|s|
+            try:
+                closed = closed_form(angles, s_delta)
+            except ZeroDivisionError:   # the denominator vanished or underflowed
+                pass
+        yield angles, value, flag, closed
 
 
 def cmd_measure(args) -> int:
-    name, state = _measured_state(args.name, args.measure)
+    state, closed_form = _measured_state(args.name, args.measure)
     points = _resolve(args, state.n_sites, {})
-    [(angles, case_b)] = _rows(points)
-    if case_b is not None and case_b[0] == 0:
+    [(angles, value, degenerate, closed)] = _point_rows(state, args.measure, closed_form, points)
+    if points.case_b is not None and args.s == 0:
         raise SystemExit2("case b needs s != 0: alpha is undefined at s = 0")
-    if case_b is not None and math.isnan(angles[0]):
+    if points.case_b is not None and math.isnan(angles[0]):
         raise SystemExit2("case b needs |delta| <= 2|s| for a real spectrum")
-    values, degenerate = _evaluate(state, args.measure, points)
-    if degenerate[0]:
+    if degenerate:
         raise DegenerateSpectrum(
             f"|cos(alpha)| < {DEGENERACY_TOL:g} at alpha = "
             f"{', '.join(f'{a:.6g}' for a in angles)}; the biorthonormal basis is "
             "undefined at the degeneracy boundary")
-    value = float(values[0])
-    # the closed forms hold for the symmetric (s = t) family only
-    symmetric = all(abs(k) == 1 for k in points.skews)
-    closed = _closed_form_for(name, args.measure, angles, case_b) if symmetric else None
     inputs = {f"alpha{i + 1}": a for i, a in enumerate(angles)}
-    if case_b is not None:
+    if points.case_b is not None:
         inputs.update({"s": args.s, "delta": args.delta})
     row = {"name": args.name, "measure": args.measure, "inputs": inputs, "value": value}
     if closed is not None:
@@ -292,12 +283,10 @@ def cmd_measure(args) -> int:
     if args.format == "json":
         print(json.dumps(row, ensure_ascii=False, indent=2))
     else:
-        bits = [f"{k}={_fmt(v)}" for k, v in inputs.items()]
-        line = f"{args.name} {args.measure}: value={_fmt(value)}"
-        if closed is not None:
-            line += f" closed_form={_fmt(closed)} abs_diff={_fmt(abs(value - closed))}"
-        print(" ".join(bits))
-        print(line)
+        print(" ".join(f"{k}={v!r}" for k, v in inputs.items()))
+        print(f"{args.name} {args.measure}: "
+              + " ".join(f"{k}={row[k]!r}" for k in ("value", "closed_form", "abs_diff")
+                         if k in row))
     return 0
 
 
@@ -327,29 +316,30 @@ def _sweep_grid(args) -> tuple[list[str], list[np.ndarray]]:
     return names, axes
 
 
-def _sweep_records(args, name: str, state: StateVector, chunks):
+def _grid_chunks(axes: list[np.ndarray]):
+    """The grid's coordinates, row-major, CHUNK points at a time: each chunk
+    is one array per axis, indexed from its flat range, never the full grid."""
+    shape = tuple(len(axis) for axis in axes)
+    size = math.prod(shape)
+    for start in range(0, size, CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK, size)), shape)
+        yield [axis[i] for axis, i in zip(axes, index)]
+
+
+def _sweep_records(state: StateVector, measure: str, closed_form: Callable | None, chunks):
     """One CSV row per grid point, from each chunk's coordinates and points."""
     for chunk, points in chunks:
-        values, _ = _evaluate(state, args.measure, points)
         coords = zip(*(axis.tolist() for axis in chunk))
-        for point, value, (angles, case_b) in zip(coords, values.tolist(), _rows(points)):
-            closed = _closed_form_for(name, args.measure, angles, case_b)
-            rec = [_fmt(x) for x in point] + [_fmt(value)]
-            if closed is None:
-                rec += ["", ""]
-            else:
-                rec += [_fmt(closed), _fmt(abs(value - closed))]
-            yield rec
+        for point, (_, value, _, closed) in zip(
+                coords, _point_rows(state, measure, closed_form, points)):
+            yield [*point, value] + (["", ""] if closed is None else [closed, abs(value - closed)])
 
 
 def cmd_sweep(args) -> int:
     names, axes = _sweep_grid(args)
-    name, state = _measured_state(args.name, args.measure)
-    grid = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]   # row-major
-    slices = ([axis[start:start + CHUNK] for axis in grid]
-              for start in range(0, grid[0].size, CHUNK))
+    state, closed_form = _measured_state(args.name, args.measure)
     chunks = ((chunk, _resolve(args, state.n_sites, dict(zip(names, chunk))))
-              for chunk in slices)
+              for chunk in _grid_chunks(axes))
     # resolving the first chunk raises on every rejected input, before the output opens
     first = next(chunks)
     try:
@@ -357,7 +347,8 @@ def cmd_sweep(args) -> int:
               else open(args.out, "w", newline="")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(names) + ["value", "closed_form", "abs_diff"])
-            writer.writerows(_sweep_records(args, name, state, itertools.chain([first], chunks)))
+            writer.writerows(_sweep_records(state, args.measure, closed_form,
+                                            itertools.chain([first], chunks)))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

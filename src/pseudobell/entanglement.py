@@ -2,11 +2,12 @@
 
 ``embed`` substitutes each site's numeric biorthonormal vectors into a
 :class:`~pseudobell.constructor.StateVector` and returns the 2^N amplitude
-vector over the computational basis |b_1 ... b_N>.  Given the site vectors
-of G grid points (from :func:`~pseudobell.biortho.biortho`) it returns a
-(G, 2^N) array, one row per point; the single-point call is the G = 1 row
-of the same code.  Normalization is always the ordinary Euclidean norm of
-the embedded vector, never the eta-weighted norm.
+vector over the computational basis |b_1 ... b_N>.  Each site may carry
+leading grid axes (a grid ``BiorthoBasis`` or the site vectors from
+:func:`~pseudobell.biortho.biortho`); they broadcast, and the result is a
+(..., 2^N) array, one row per point.  The single-point call is the G = 1
+case of the same code.  Normalization is always the ordinary Euclidean
+norm of the embedded vector, never the eta-weighted norm.
 
 Measures (``normalize``, ``concurrence`` and ``average_entropy`` work on
 the last axis and broadcast over any leading grid axis):
@@ -71,29 +72,27 @@ def _squared_norm(vec: np.ndarray) -> np.ndarray:
 def embed(state: StateVector, bases: Sequence) -> np.ndarray:
     """Numeric amplitudes of the state in the computational basis (unnormalized).
 
-    ``bases`` gives one entry per site, in site order.  An entry is a
-    :class:`BiorthoBasis` or an array of site vectors of shape (G, 2, 2, 2)
-    from :func:`~pseudobell.biortho.biortho`.  With any array entry the
-    result has shape (G, 2^N), one row per grid point (G may be 0); with
-    bases only it has shape (2^N,), the G = 1 row.
+    ``bases`` gives one entry per site, in site order: a
+    :class:`BiorthoBasis` or its ``vectors``, shape (..., 2, 2, 2), as from
+    :func:`~pseudobell.biortho.biortho`.  The sites' leading grid axes
+    broadcast, and the result has shape (..., 2^N), one row per grid point
+    (a grid may have 0 points); G = 1 bases give (2^N,).
     """
     sites = sorted({lab.site for labels in state.terms for lab in labels})
     if len(bases) != len(sites):
         raise ValueError(f"need one basis per site: {len(sites)} sites, {len(bases)} bases")
-    batched = not all(isinstance(b, BiorthoBasis) for b in bases)
-    vectors = {site: b.vectors[None] if isinstance(b, BiorthoBasis) else np.asarray(b)
+    vectors = {site: b.vectors if isinstance(b, BiorthoBasis) else np.asarray(b)
                for site, b in zip(sites, bases)}
-    size = max((v.shape[0] for v in vectors.values()), default=1)
-    out = np.zeros((size, 2 ** state.n_sites), dtype=complex)
+    out = 0   # 0 + the first term takes its shape without a broadcast add
     for labels, c in state.terms.items():
-        # the term's per-site outer product, one row per grid point
-        amp = np.array([[c]])
+        # the term's per-site outer product, over the grid axes
+        amp = np.array([c])
         for lab in labels:
-            site = vectors[lab.site][:, FAMILIES.index(lab.family), lab.level]
-            outer = amp[:, :, None] * site[:, None, :]
-            amp = outer.reshape(len(outer), outer.shape[1] * outer.shape[2])
-        out += amp
-    return out if batched else out[0]
+            site = vectors[lab.site][..., FAMILIES.index(lab.family), lab.level, :]
+            outer = amp[..., :, None] * site[..., None, :]
+            amp = outer.reshape(*outer.shape[:-2], outer.shape[-2] * outer.shape[-1])
+        out = out + amp
+    return out if state.terms else np.zeros(2 ** state.n_sites, dtype=complex)
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import json
 import math
+import tracemalloc
 
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import pytest
 from pseudobell import cli, verify
 from pseudobell.biortho import basis_from_alpha
 from pseudobell.cli import main, parse_angle
-from pseudobell.constructor import catalog, catalog_entries
+from pseudobell.constructor import build_state, catalog, catalog_entries
 from pseudobell.entanglement import concurrence, embed, normalize
 
 
@@ -57,6 +59,28 @@ def test_padded_name_keeps_its_closed_form(capsys):
               for name in (" G1+", "G1+")]
     assert sweeps[0] == sweeps[1]
     assert all(row["closed_form"] for row in csv.DictReader(io.StringIO(sweeps[0])))
+
+
+def test_closed_form_table_covers_exactly_the_documented_names(capsys):
+    # every resolvable name: the 52 entries and both spellings of each W sign tuple
+    names = [e.name for e in catalog_entries(include_variants=True)]
+    names += [f"W{j}{spelling}" for j in range(1, 9)
+              for signs in itertools.product("+-", repeat=3)
+              for spelling in ("".join(signs), "({})".format(",".join(signs)))]
+    documented = {"W7", "W7---", "W6-+-", "W6+-+"}
+    for name in names:
+        entry = catalog(name)
+        state = build_state(entry.weight, entry.spec)
+        measure = "concurrence" if state.n_sites == 2 else "avg_entropy"
+        angles = ["--alpha1", "0.3", "--alpha2", "-0.7", "--alpha3", "1.1"][:2 * state.n_sites]
+        code, out, _ = run(capsys, "measure", "--name", name, "--measure", measure,
+                           "--format", "json", *angles)
+        assert code == 0, name
+        payload = json.loads(out)
+        has_form = entry.group.startswith(("bell", "ghz")) or entry.name in documented
+        assert ("closed_form" in payload) == has_form, name
+        if has_form:
+            assert payload["abs_diff"] < 1e-12, name
 
 
 def test_catalog_filter(capsys):
@@ -363,6 +387,33 @@ def test_unparseable_numbers_are_argument_errors(capsys, argv):
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["measure", "--alpha", "pi/0"], "argument --alpha: zero denominator in 'pi/0'"),
+    (["measure", "--alpha2", "nan"], "argument --alpha2: not a finite number: 'nan'"),
+    (["measure", "--alpha", "abc"], "argument --alpha: could not convert string to float: 'abc'"),
+    (["measure", "--s", "1", "--delta", "inf"], "argument --delta: not a finite number: 'inf'"),
+    (["sweep", "--var", "alpha", "--range", "0:inf", "--out", "-"],
+     "argument --range: not a finite number: 'inf'"),
+    (["sweep", "--var", "alpha", "--range", "3pi/0:1", "--out", "-"],
+     "argument --range: zero denominator in '3pi/0'"),
+])
+def test_argument_errors_say_why(capsys, argv, reason):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--name", "B2-", "--measure", "concurrence", *rest])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"pseudobell {command}: error: {reason}"
+
+
+def test_case_b_closed_form_that_underflows_is_left_out(capsys):
+    # 4 s^2 + delta^2 underflows to 0 at s = 1e-300, delta = 0; alpha = 0 is fine
+    code, out, err = run(capsys, "measure", "--name", "B3-", "--measure", "concurrence",
+                         "--s", "1e-300", "--delta", "0", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert "closed_form" not in payload and abs(payload["value"] - 1) < 1e-15
+
+
 def test_measure_case_b_at_s_zero_names_s(capsys):
     # |delta| <= 2|s| holds at s = delta = 0; the fault is that alpha is undefined
     code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
@@ -411,6 +462,32 @@ def test_sweep_beyond_one_chunk_equals_point_by_point(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CHUNK", 1)
     assert _sweep_rows(capsys, *argv) == (header, batched)
     assert sum(row[2] == "nan" for row in batched) == 2 * 13   # alpha1 = pi/2, 3pi/2
+
+
+def test_sweep_memory_is_bounded_by_the_chunk(monkeypatch):
+    # a 3000 x 3000 grid as one array is 144 MB; resolving the first chunk
+    # may only touch CHUNK points of it
+    class FirstChunk(Exception):
+        pass
+
+    resolve = cli._resolve
+
+    def stop_after_first(*args):
+        resolve(*args)
+        raise FirstChunk
+
+    monkeypatch.setattr(cli, "_resolve", stop_after_first)
+    build_state(catalog("G1+").weight, catalog("G1+").spec)   # warm the symbolic caches
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstChunk):
+            main(["sweep", "--name", "G1+", "--measure", "avg_entropy", "--var", "alpha1",
+                  "--range", "0:1", "--var", "alpha2", "--range", "0:1", "--steps", "3000",
+                  "--alpha3", "0.2", "--out", "-"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_sweep_nan_exactly_at_degenerate_points(capsys):

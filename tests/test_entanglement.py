@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from pseudobell.biortho import basis_from_alpha, biortho
+from pseudobell.biortho import basis_from_alpha, basis_grid, biortho
 from pseudobell.constructor import (
     StateVector,
     all_biseparable,
@@ -400,6 +400,21 @@ def test_embed_broadcasts_a_fixed_site():
     batch = embed(state, [biortho(alphas)[0], fixed])
     for g, a in enumerate(alphas):
         assert np.array_equal(batch[g], embed(state, [basis_from_alpha(a), fixed]))
+
+
+def test_embed_takes_a_grid_basis():
+    # a basis_grid basis is G sites at once: its rows are the G = 1 embeds, bit for bit
+    alphas = np.linspace(-1.4, 1.4, 9)
+    for name in ("B2-", "W7"):
+        state = bell(name)
+        grid = embed(state, [basis_grid(alphas)] * state.n_sites)
+        assert grid.shape == (9, 2 ** state.n_sites)
+        for g, a in enumerate(alphas):
+            assert np.array_equal(grid[g], embed(state, [basis_from_alpha(a)] * state.n_sites))
+        # a G = 1 basis next to a grid of no points gives no rows
+        no_points = basis_grid(np.array([]))
+        empty = embed(state, [basis_from_alpha(0.3)] + [no_points] * (state.n_sites - 1))
+        assert empty.shape == (0, 2 ** state.n_sites)
 
 
 def test_measures_broadcast_over_leading_axes():
