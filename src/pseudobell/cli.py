@@ -33,16 +33,7 @@ from .constructor import (
     catalog_entries,
     solve_weight,
 )
-from .entanglement import (
-    average_entropy,
-    average_entropy_closed_form,
-    case_b_alpha,
-    case_b_concurrence,
-    concurrence,
-    concurrence_closed_form,
-    embed,
-    normalize,
-)
+from .entanglement import average_entropy, case_b_alpha, closed_form, concurrence, embed, normalize
 
 _PI_RE = re.compile(r"^\s*(-)?\s*(\d+(?:\.\d*)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
                     re.IGNORECASE)
@@ -217,53 +208,35 @@ def _resolve(args, n_sites: int, swept: dict[str, np.ndarray]) -> _Points:
 
 def _measured_state(name: str, measure: str) -> tuple[StateVector, Callable | None]:
     """The state of a catalog name, built once per command, and its closed
-    form as f(site angles, case-b (s, delta) or None), or None."""
+    form (see ``entanglement.closed_form``), or None."""
     entry = catalog(name)
     state = build_state(entry.weight, entry.spec)
     sites, word = (2, "two") if measure == "concurrence" else (3, "three")
     if state.n_sites != sites:
         raise SystemExit2(f"{name} is not a {word}-site state")
-    name = entry.name
-    if measure == "concurrence":
-        bell = name.removesuffix("-same") + ("-" if name.endswith("-same") else "")
-        if bell in ("B2-", "B3-"):
-            return state, lambda angles, s_delta: (case_b_concurrence(*s_delta) if s_delta
-                                                   else concurrence_closed_form(bell, *angles))
-        return state, lambda angles, _: concurrence_closed_form(bell, *angles)
-    if name.startswith("G") or name in ("W7", "W7---", "W6-+-", "W6+-+"):
-        family = name[:2] if name.startswith("W") else "G"
-        return state, lambda angles, _: average_entropy_closed_form(family, *angles)
-    return state, None
+    return state, closed_form(entry, measure)
 
 
-def _point_rows(state: StateVector, measure: str, closed_form: Callable | None,
-                points: _Points):
+def _point_rows(state: StateVector, measure: str, form: Callable | None, points: _Points):
     """Per point: the site angles, the measured value, whether the basis is
-    degenerate (the value is then NaN) and the closed form, or None."""
+    degenerate (the value is then NaN), the closed form and its absolute
+    difference from the value; the closed form is NaN where it has none."""
     vectors, flags = zip(*(biortho(a, skew) for a, skew in zip(points.angles, points.skews)))
     degenerate = np.logical_or.reduce(flags)
     vec = embed(state, vectors)
     values = concurrence(normalize(vec)) if measure == "concurrence" else average_entropy(vec)
+    closed = np.full(values.shape, np.nan)
     # the closed forms hold for the symmetric (s = t) family only
-    if not all(abs(k) == 1 for k in points.skews):
-        closed_form = None
-    s_deltas = (zip(*(x.tolist() for x in points.case_b)) if points.case_b is not None
-                else itertools.repeat(None))
-    for angles, value, flag, s_delta in zip(zip(*(a.tolist() for a in points.angles)),
-                                           values.tolist(), degenerate.tolist(), s_deltas):
-        closed = None
-        if closed_form is not None and not math.isnan(angles[0]):   # NaN: |delta| > 2|s|
-            try:
-                closed = closed_form(angles, s_delta)
-            except ZeroDivisionError:   # the denominator vanished or underflowed
-                pass
-        yield angles, value, flag, closed
+    if form is not None and all(abs(k) == 1 for k in points.skews):
+        closed = form(points.angles, points.case_b)
+    return zip(zip(*(a.tolist() for a in points.angles)), values.tolist(), degenerate.tolist(),
+               closed.tolist(), np.abs(values - closed).tolist())
 
 
 def cmd_measure(args) -> int:
-    state, closed_form = _measured_state(args.name, args.measure)
+    state, form = _measured_state(args.name, args.measure)
     points = _resolve(args, state.n_sites, {})
-    [(angles, value, degenerate, closed)] = _point_rows(state, args.measure, closed_form, points)
+    [(angles, value, degenerate, closed, diff)] = _point_rows(state, args.measure, form, points)
     if points.case_b is not None and args.s == 0:
         raise SystemExit2("case b needs s != 0: alpha is undefined at s = 0")
     if points.case_b is not None and math.isnan(angles[0]):
@@ -277,9 +250,9 @@ def cmd_measure(args) -> int:
     if points.case_b is not None:
         inputs.update({"s": args.s, "delta": args.delta})
     row = {"name": args.name, "measure": args.measure, "inputs": inputs, "value": value}
-    if closed is not None:
+    if not math.isnan(closed):
         row["closed_form"] = closed
-        row["abs_diff"] = abs(value - closed)
+        row["abs_diff"] = diff
     if args.format == "json":
         print(json.dumps(row, ensure_ascii=False, indent=2))
     else:
@@ -312,6 +285,8 @@ def _sweep_grid(args) -> tuple[list[str], list[np.ndarray]]:
             raise SystemExit2("steps must be >= 2")
         if not lo < hi:
             raise SystemExit2("range must have lo < hi")
+        if not math.isfinite(hi - lo):
+            raise SystemExit2(f"range {lo:g}:{hi:g} is too wide: hi - lo overflows")
         axes.append(np.linspace(lo, hi, n))
     return names, axes
 
@@ -326,18 +301,18 @@ def _grid_chunks(axes: list[np.ndarray]):
         yield [axis[i] for axis, i in zip(axes, index)]
 
 
-def _sweep_records(state: StateVector, measure: str, closed_form: Callable | None, chunks):
+def _sweep_records(state: StateVector, measure: str, form: Callable | None, chunks):
     """One CSV row per grid point, from each chunk's coordinates and points."""
     for chunk, points in chunks:
         coords = zip(*(axis.tolist() for axis in chunk))
-        for point, (_, value, _, closed) in zip(
-                coords, _point_rows(state, measure, closed_form, points)):
-            yield [*point, value] + (["", ""] if closed is None else [closed, abs(value - closed)])
+        for point, (_, value, _, closed, diff) in zip(
+                coords, _point_rows(state, measure, form, points)):
+            yield [*point, value] + (["", ""] if math.isnan(closed) else [closed, diff])
 
 
 def cmd_sweep(args) -> int:
     names, axes = _sweep_grid(args)
-    state, closed_form = _measured_state(args.name, args.measure)
+    state, form = _measured_state(args.name, args.measure)
     chunks = ((chunk, _resolve(args, state.n_sites, dict(zip(names, chunk))))
               for chunk in _grid_chunks(axes))
     # resolving the first chunk raises on every rejected input, before the output opens
@@ -347,7 +322,7 @@ def cmd_sweep(args) -> int:
               else open(args.out, "w", newline="")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(names) + ["value", "closed_form", "abs_diff"])
-            writer.writerows(_sweep_records(state, args.measure, closed_form,
+            writer.writerows(_sweep_records(state, args.measure, form,
                                             itertools.chain([first], chunks)))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)

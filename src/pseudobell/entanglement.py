@@ -17,7 +17,8 @@ the last axis and broadcast over any leading grid axis):
 * linear entropy  S_L = d/(d-1) (1 - Tr rho_A^2);
 * bipartition-averaged linear entropy <S_L> over all size-n subsets.
 
-Closed forms (used as oracles against the numeric pipeline):
+Closed forms (checked against the numeric pipeline; ``closed_form`` alone
+decides which catalog entry has which, and every form works elementwise):
 
 * the Bell-family concurrences |cos a1 cos a2 / (1 +/- sin a1 sin a2)|,
   with the denominator sign fixed by the member and its state sign;
@@ -33,12 +34,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from .biortho import FAMILIES, BiorthoBasis
-from .constructor import StateVector
+from .constructor import CatalogEntry, StateVector, UnknownName, catalog
 
 DENOM_TOL = 1e-12
 
@@ -196,35 +197,128 @@ def average_entropy(vec: np.ndarray, n: int = 1):
 
 
 # -- closed forms ---------------------------------------------------------------
+#
+# Each formula is written once, elementwise in numpy operations, so a point
+# gives the same bits alone as inside a grid.
 
 
-def _parse_bell_name(name: str) -> tuple[bool, int, int]:
-    key = name.strip().replace("’", "'").replace("′", "'")
-    primed = key.startswith("B'")
-    body = key[2:] if primed else key[1:]
-    if not key.startswith("B") or len(body) != 2 or body[0] not in "1234" or body[1] not in "+-":
-        raise ValueError(f"not a Bell-family name: {name!r}")
-    return primed, int(body[0]), 1 if body[1] == "+" else -1
+def _ghz(a1, a2, a3):
+    return (1.0 / 6.0) * (
+        5.0 + np.cos(2 * a2)
+        - 2.0 * np.square(np.sin(a1)) * (1.0 + np.square(np.cos(a3)) * np.square(np.sin(a2)))
+        + (np.cos(2 * a1) * np.cos(2 * a2) - 3.0) * np.square(np.sin(a3)))
 
 
-def concurrence_closed_form(name: str, alpha1: float, alpha2: float) -> float:
-    """Bell-family concurrence |cos a1 cos a2 / (1 + eps sin a1 sin a2)|.
+def _w(mixed_sign, a1, a2, a3):
+    num = (2.0 * (np.cos(2 * a1) + np.cos(2 * a2) + 2.0) * np.cos(2 * a3)
+           + np.cos(2 * (a1 - a2)) + np.cos(2 * (a1 + a2))
+           + 4.0 * np.cos(2 * a1) + 4.0 * np.cos(2 * a2) + 6.0)
+    bracket = (2.0 * np.sin(a2) * np.sin(a3)
+               + mixed_sign * (2.0 * np.sin(a1) * (np.sin(a2) + np.sin(a3))) + 3.0)
+    return num / (3.0 * bracket * bracket)
 
-    The denominator sign is eps = (state sign) * (+1 same-family / -1 mixed
-    psi/phi), negated for the primed family: eps = -1 for B1-/B4-, +1 for
-    B2-/B3-, and so on.  Every member is cross-checked against the numeric
-    pipeline in the test suite.
+
+#: per family, the three-angle average-entropy form and its equal-angle
+#: reduction in c4 = cos^4 alpha and c2 = cos 2 alpha
+_ENTROPY_FORMS = {
+    "G": (_ghz, lambda c4, c2: 0.5 * c4 * (3.0 - c2)),
+    "W7": (functools.partial(_w, -1.0), lambda c4, c2: 8.0 * c4 / np.square(c2 + 2.0)),
+    "W6": (functools.partial(_w, 1.0), lambda c4, c2: 8.0 * c4 / (9.0 * np.square(c2 - 2.0))),
+}
+#: the W states with a form, by (site families, term signs): W7 and W7---,
+#: W6-+- and W6+-+
+_W_FAMILIES = {(("psi", "phi", "phi"), (1, 1, 1)): "W7", (("phi", "psi", "phi"), (1, -1, 1)): "W6"}
+
+
+def _evaluate(what: str, formula, *inputs):
+    """formula(*inputs) elementwise, NaN wherever it has no finite value;
+    but a single finite point (float inputs) without one raises
+    SingularDenominator."""
+    with np.errstate(all="ignore"):
+        values = formula(*inputs)
+    values = np.where(np.isfinite(values), values, np.nan)
+    if values.ndim == 0 and math.isnan(values) and all(map(math.isfinite, inputs)):
+        raise SingularDenominator(f"no finite closed form for {what} at "
+                                  f"({', '.join(f'{x:.6g}' for x in inputs)})")
+    return _scalar(values)
+
+
+def _term_signs(entry: CatalogEntry) -> tuple[int, ...]:
+    """The signs of the entry's state terms in label order, up to a global sign."""
+    signs = [int(c.real) for _, c in entry.expected.sorted_terms()]
+    return tuple(s * signs[0] for s in signs)
+
+
+def _bell_eps(entry: CatalogEntry) -> int | None:
+    """The denominator sign of a Bell-family concurrence, or None off the family:
+    eps = (relative sign of the two terms) * (+1 same family / -1 mixed
+    psi/phi), negated for the primed family; -1 for B1-/B4-, +1 for B2-/B3-."""
+    if entry.group not in ("bell", "bell-prime", "bell-same"):
+        return None
+    mixed = len({sf.family for sf in entry.spec.sites}) == 2
+    primed = entry.group == "bell-prime"
+    return _term_signs(entry)[1] * (-1 if mixed else 1) * (-1 if primed else 1)
+
+
+def entropy_form_name(entry: CatalogEntry) -> str | None:
+    """"G", "W7" or "W6": the average-entropy closed form that holds for the
+    entry (every GHZ entry, W7, W7---, W6-+- and W6+-+), or None."""
+    if entry.group != "w":
+        return "G" if entry.group == "ghz" else None
+    return _W_FAMILIES.get((tuple(sf.family for sf in entry.spec.sites), _term_signs(entry)))
+
+
+def closed_form(entry: CatalogEntry, measure: str) -> Callable | None:
+    """The paper's closed form of the entry's measure, or None.
+
+    The form is ``f(angles, s_delta=None)``: one angle array per site and,
+    in case b, the (s, delta) arrays.  It returns the values elementwise,
+    NaN where a point has none: a vanishing denominator, a NaN angle, any
+    non-finite value (given floats, such a point raises SingularDenominator,
+    as the public functions below do).  In case b, B2- and B3- (and their
+    same-generator variants) take the (s, delta) form.
     """
-    primed, j, sign = _parse_bell_name(name)
-    same_family = j in (1, 4)
-    eps = sign * (1 if same_family else -1)
-    if primed:
-        eps = -eps
-    den = 1.0 + eps * math.sin(alpha1) * math.sin(alpha2)
-    if abs(den) < DENOM_TOL:
-        raise SingularDenominator(f"denominator vanished for {name} at "
-                                  f"({alpha1:.6g}, {alpha2:.6g})")
-    return abs(math.cos(alpha1) * math.cos(alpha2) / den)
+    key = entropy_form_name(entry) if measure == "avg_entropy" else None
+    if key is not None:
+        return lambda angles, s_delta=None: average_entropy_closed_form(key, *angles)
+    eps = _bell_eps(entry) if measure == "concurrence" else None
+    if eps is None:
+        return None
+    mixed = len({sf.family for sf in entry.spec.sites}) == 2
+    case_b = mixed and eps > 0 and entry.group != "bell-prime"   # B2-, B3- and -same
+
+    def form(angles, s_delta=None):
+        if case_b and s_delta is not None:
+            # the angle is NaN where |delta| > 2|s|: no real spectrum
+            return np.where(np.isnan(angles[0]), np.nan, case_b_concurrence(*s_delta))
+        return concurrence_closed_form(entry.name, *angles)
+
+    return form
+
+
+def _entropy_forms(name: str):
+    key = name.strip().upper()
+    if key not in ("G", "GHZ", "W7", "W6"):
+        raise ValueError(f"no closed form for {name!r}; expected G, W7 or W6")
+    return _ENTROPY_FORMS["G" if key == "GHZ" else key]
+
+
+def concurrence_closed_form(name: str, alpha1, alpha2):
+    """Bell-family concurrence |cos a1 cos a2 / (1 + eps sin a1 sin a2)|,
+    elementwise, with eps as in ``_bell_eps``; no value where
+    |den| < DENOM_TOL."""
+    try:
+        eps = _bell_eps(catalog(name))
+    except UnknownName:
+        eps = None
+    if eps is None:
+        raise ValueError(f"not a Bell-family name: {name!r}")
+
+    def bell(a1, a2):
+        den = 1.0 + eps * np.sin(a1) * np.sin(a2)
+        return np.abs(np.cos(a1) * np.cos(a2) / np.where(np.abs(den) < DENOM_TOL, 0.0, den))
+
+    return _evaluate(name, bell, alpha1, alpha2)
 
 
 def case_b_alpha(s, delta):
@@ -238,43 +332,22 @@ def case_b_alpha(s, delta):
     return _scalar(np.arcsin(np.where(np.abs(ratio) <= 1, ratio, np.nan)))
 
 
-def case_b_concurrence(s: float, delta: float) -> float:
-    """C(B2-) = C(B3-) = |4 s^2 - delta^2| / (4 s^2 + delta^2)."""
-    return abs(4 * s * s - delta * delta) / (4 * s * s + delta * delta)
+def case_b_concurrence(s, delta):
+    """C(B2-) = C(B3-) = |4 s^2 - delta^2| / (4 s^2 + delta^2), elementwise."""
+    return _evaluate("case b", lambda s, d: np.abs(4 * s * s - d * d) / (4 * s * s + d * d),
+                     s, delta)
 
 
-def average_entropy_closed_form(name: str, alpha1: float, alpha2: float,
-                                alpha3: float) -> float:
-    """Three-angle average-entropy formulas for G, W7(+,+,+) and W6(-,+,-)."""
-    a1, a2, a3 = alpha1, alpha2, alpha3
-    key = name.strip().upper()
-    if key in ("G", "GHZ"):
-        return (1.0 / 6.0) * (
-            5.0 + math.cos(2 * a2)
-            - 2.0 * math.sin(a1) ** 2 * (1.0 + math.cos(a3) ** 2 * math.sin(a2) ** 2)
-            + (math.cos(2 * a1) * math.cos(2 * a2) - 3.0) * math.sin(a3) ** 2)
-    if key in ("W7", "W6"):
-        num = (2.0 * (math.cos(2 * a1) + math.cos(2 * a2) + 2.0) * math.cos(2 * a3)
-               + math.cos(2 * (a1 - a2)) + math.cos(2 * (a1 + a2))
-               + 4.0 * math.cos(2 * a1) + 4.0 * math.cos(2 * a2) + 6.0)
-        cross = 2.0 * math.sin(a2) * math.sin(a3)
-        mixed = 2.0 * math.sin(a1) * (math.sin(a2) + math.sin(a3))
-        bracket = (cross - mixed + 3.0) if key == "W7" else (cross + mixed + 3.0)
-        return num / (3.0 * bracket * bracket)
-    raise ValueError(f"no closed form for {name!r}; expected G, W7 or W6")
+def average_entropy_closed_form(name: str, alpha1, alpha2, alpha3):
+    """Three-angle average-entropy formulas for G, W7(+,+,+) and W6(-,+,-),
+    elementwise."""
+    return _evaluate(name, _entropy_forms(name)[0], alpha1, alpha2, alpha3)
 
 
-def average_entropy_equal_alpha(name: str, alpha: float) -> float:
-    """Equal-angle reductions of the average-entropy closed forms."""
-    key = name.strip().upper()
-    c, c2 = math.cos(alpha), math.cos(2 * alpha)
-    if key in ("G", "GHZ"):
-        return 0.5 * c ** 4 * (3.0 - c2)
-    if key == "W7":
-        return 8.0 * c ** 4 / (c2 + 2.0) ** 2
-    if key == "W6":
-        return 8.0 * c ** 4 / (9.0 * (c2 - 2.0) ** 2)
-    raise ValueError(f"no closed form for {name!r}; expected G, W7 or W6")
+def average_entropy_equal_alpha(name: str, alpha):
+    """Equal-angle reductions of the average-entropy closed forms, elementwise."""
+    alpha = np.asarray(alpha, dtype=float)
+    return _scalar(_entropy_forms(name)[1](np.power(np.cos(alpha), 4), np.cos(2 * alpha)))
 
 
 # -- factorization helpers -------------------------------------------------------

@@ -10,11 +10,12 @@ same functions on denser grids.
 The grid checks (``concurrence_forms``, ``case_b``, ``entropy_forms`` and
 ``ghz_degeneracy``) first decide which points to skip, then evaluate each
 state in one kernel call over the kept points, as ``pseudobell sweep`` does:
-``biortho`` -> ``embed`` -> measure.  The closed forms stay scalar ``math``
-oracles, called once per kept point.  ``structure`` does the same on its
-(r, s, t, beta) grid: it skips point by point, then builds the basis, metric,
-ladder operators, Hamiltonian and pseudo-Hermiticity residual of every kept
-point in one call each.
+``biortho`` -> ``embed`` -> measure.  Each closed form comes from
+``entanglement.closed_form`` and is evaluated once over the same points, so
+each worst residual is one maximum over arrays.  ``structure`` does the same
+on its (r, s, t, beta) grid: it skips point by point, then builds the basis,
+metric, ladder operators, Hamiltonian and pseudo-Hermiticity residual of
+every kept point in one call each.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from .biortho import (
 from .constructor import all_biseparable, build_state, catalog, catalog_entries, solve_weight
 from .entanglement import (
     average_entropy,
-    average_entropy_closed_form,
     average_entropy_equal_alpha,
     case_b_alpha,
-    case_b_concurrence,
+    closed_form,
     concurrence,
-    concurrence_closed_form,
     dominant_pair_state,
     embed,
+    entropy_form_name,
     normalize,
     schmidt_ratio,
 )
@@ -98,8 +98,9 @@ def _exact(name: str, bad: list[str], points: int, what: str) -> CheckResult:
     return CheckResult(name, not bad, float(len(bad)), 0.0, points, detail=detail)
 
 
-def _degenerate(alpha: float) -> bool:
-    return abs(math.cos(alpha)) < _SKIP_COS
+def _degenerate(alpha):
+    """Elementwise over an array of angles."""
+    return np.abs(np.cos(alpha)) < _SKIP_COS
 
 
 def _site_vectors(alphas) -> np.ndarray:
@@ -107,9 +108,9 @@ def _site_vectors(alphas) -> np.ndarray:
     return biortho(np.asarray(alphas, dtype=float))[0]
 
 
-def _on_grid(measure, state, sites) -> list[float]:
-    """``measure(embed(state, sites))`` at each grid point, as Python floats."""
-    return measure(embed(state, sites)).tolist()
+def _worst(values, forms) -> float:
+    """The largest |value - form| over the points; 0 over none."""
+    return float(np.max(np.abs(values - forms), initial=0.0))
 
 
 def _unit_concurrence(vec):
@@ -140,20 +141,17 @@ def concurrence_forms(steps: int) -> CheckResult:
     """All 16 Bell/Bell' members against their closed forms on a steps x steps
     grid over [0, 2 pi)^2; equal-angle B1-/B4- must give C = 1 to 1e-12."""
     tol, equal_tol = 1e-10, 1e-12
-    axis = np.linspace(0, 2 * math.pi, steps, endpoint=False).tolist()
-    grid, grid_skips = [], []
-    for a1, a2 in itertools.product(axis, repeat=2):
-        s1s2 = math.sin(a1) * math.sin(a2)
-        if _degenerate(a1) or _degenerate(a2):
-            grid_skips.append(f"a1={a1:.6g} a2={a2:.6g}: degenerate basis")
-        elif min(abs(1 - s1s2), abs(1 + s1s2)) < 1e-8:
-            grid_skips.append(f"a1={a1:.6g} a2={a2:.6g}: singular closed form")
-        else:
-            grid.append((a1, a2))
-    line = [a for a in axis if not _degenerate(a)]
-    line_skips = [f"a1=a2={a:.6g}: degenerate basis" for a in axis if _degenerate(a)]
-    sites = [_site_vectors([point[k] for point in grid]) for k in range(2)]
-    diagonal = [_site_vectors(line)] * 2
+    axis = np.linspace(0, 2 * math.pi, steps, endpoint=False)
+    a1, a2 = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    s1s2 = np.sin(a1) * np.sin(a2)
+    degenerate = _degenerate(a1) | _degenerate(a2)
+    keep = ~(degenerate | (np.minimum(np.abs(1 - s1s2), np.abs(1 + s1s2)) < 1e-8))
+    grid_skips = [f"a1={x:.6g} a2={y:.6g}: {'degenerate basis' if d else 'singular closed form'}"
+                  for x, y, d in zip(a1[~keep], a2[~keep], degenerate[~keep])]
+    line_skips = [f"a1=a2={a:.6g}: degenerate basis" for a in axis[_degenerate(axis)]]
+    angles = [a1[keep], a2[keep]]
+    sites = [_site_vectors(a) for a in angles]
+    diagonal = [_site_vectors(axis[~_degenerate(axis)])] * 2
     worst = equal = 0.0
     points, skipped = 0, []
     for e in catalog_entries():
@@ -161,16 +159,14 @@ def concurrence_forms(steps: int) -> CheckResult:
             continue
         state = build_state(e.weight, e.spec)
         skipped += [f"{e.name} {reason}" for reason in grid_skips]
-        values = _on_grid(_unit_concurrence, state, sites)
-        for (a1, a2), value in zip(grid, values):
-            worst = max(worst, abs(value - concurrence_closed_form(e.name, a1, a2)))
-        points += len(grid)
+        values = _unit_concurrence(embed(state, sites))
+        worst = max(worst, _worst(values, closed_form(e, "concurrence")(angles)))
+        points += len(values)
         if e.name not in ("B1-", "B4-"):
             continue
         skipped += [f"{e.name} {reason}" for reason in line_skips]
-        for value in _on_grid(_unit_concurrence, state, diagonal):
-            equal = max(equal, abs(value - 1.0))
-        points += len(line)
+        equal = max(equal, _worst(_unit_concurrence(embed(state, diagonal)), 1.0))
+        points += len(diagonal[0])
     return CheckResult("concurrence-closed-forms", worst <= tol and equal <= equal_tol, worst,
                        tol, points, tuple(skipped),
                        f"16 members; equal-angle B1-/B4- |C - 1| {equal:.2e} "
@@ -181,23 +177,18 @@ def case_b(steps: int) -> CheckResult:
     """B2- concurrence against |4s^2 - d^2|/(4s^2 + d^2) on a steps x steps
     grid, s in [1, 2] and delta in [-2, 2], plus C = 1 along delta = 0."""
     tol = 1e-10
-    state = build_state(catalog("B2-").weight, catalog("B2-").spec)
+    entry = catalog("B2-")
+    state = build_state(entry.weight, entry.spec)
     ss = np.linspace(1, 2, steps)
     grid = [(s, d) for s in ss for d in np.linspace(-2, 2, steps)] + [(s, 0.0) for s in ss]
-    kept, alphas, skipped = [], [], []
-    for s, delta in grid:
-        alpha = case_b_alpha(s, delta)
-        if _degenerate(alpha):
-            skipped.append(f"s={s:g} delta={delta:g}: degenerate basis")
-        else:
-            kept.append((s, delta))
-            alphas.append(alpha)
-    vectors = _site_vectors(alphas)
-    values = _on_grid(_unit_concurrence, state, [vectors] * 2)
-    worst = 0.0
-    for (s, delta), value in zip(kept, values):
-        worst = max(worst, abs(value - case_b_concurrence(s, delta)))
-    return CheckResult("case-b", worst <= tol, worst, tol, len(kept), tuple(skipped),
+    s, delta = np.array(grid, dtype=float).reshape(-1, 2).T
+    alpha = case_b_alpha(s, delta)
+    keep = ~_degenerate(alpha)
+    skipped = [f"s={x:g} delta={d:g}: degenerate basis" for x, d in zip(s[~keep], delta[~keep])]
+    values = _unit_concurrence(embed(state, [_site_vectors(alpha[keep])] * 2))
+    forms = closed_form(entry, "concurrence")([alpha[keep]] * 2, (s[keep], delta[keep]))
+    worst = _worst(values, forms)
+    return CheckResult("case-b", worst <= tol, worst, tol, len(values), tuple(skipped),
                        "grid and delta = 0 line")
 
 
@@ -207,30 +198,27 @@ def entropy_forms(steps: int, line_steps: int) -> CheckResult:
     line_steps points over [0, 2 pi]; the closed-form extrema 1 (G) and 8/9
     (W) at k pi, and 0 at (2k + 1) pi/2."""
     tol = 1e-10
-    states = {key: build_state(catalog(name).weight, catalog(name).spec)
-              for key, name in (("G", "G1+"), ("W7", "W7"), ("W6", "W6-+-"))}
-    worst, skipped = 0.0, []
-    axis = np.linspace(0, 2 * math.pi, steps, endpoint=False).tolist()
-    grid = []
-    for angles in itertools.product(axis, repeat=3):
-        if any(_degenerate(a) for a in angles):
-            skipped.append(f"G alphas={', '.join(f'{a:.6g}' for a in angles)}: "
-                           "degenerate basis")
-        else:
-            grid.append(angles)
-    sites = [_site_vectors([point[k] for point in grid]) for k in range(3)]
-    for angles, value in zip(grid, _on_grid(average_entropy, states["G"], sites)):
-        worst = max(worst, abs(value - average_entropy_closed_form("G", *angles)))
-    points = len(grid)
-    full_line = np.linspace(0, 2 * math.pi, line_steps).tolist()
-    line = [a for a in full_line if not _degenerate(a)]
+    entries = [catalog(name) for name in ("G1+", "W7", "W6-+-")]
+    axis = np.linspace(0, 2 * math.pi, steps, endpoint=False)
+    grid = np.stack([a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij")])
+    keep = ~_degenerate(grid).any(axis=0)
+    skipped = [f"G alphas={', '.join(f'{a:.6g}' for a in point)}: degenerate basis"
+               for point in grid.T[~keep]]
+    angles = list(grid[:, keep])
+    ghz = build_state(entries[0].weight, entries[0].spec)
+    values = average_entropy(embed(ghz, [_site_vectors(a) for a in angles]))
+    worst = _worst(values, closed_form(entries[0], "avg_entropy")(angles))
+    points = len(values)
+    full_line = np.linspace(0, 2 * math.pi, line_steps)
+    line = full_line[~_degenerate(full_line)]
     vectors = _site_vectors(line)
-    for key, state in states.items():
+    for e in entries:
+        key = entropy_form_name(e)
         skipped += [f"{key} alpha={a:.6g}: degenerate basis (formula value "
                     f"{average_entropy_equal_alpha(key, a):.3g})"
-                    for a in full_line if _degenerate(a)]
-        for a, value in zip(line, _on_grid(average_entropy, state, [vectors] * 3)):
-            worst = max(worst, abs(value - average_entropy_equal_alpha(key, a)))
+                    for a in full_line[_degenerate(full_line)]]
+        values = average_entropy(embed(build_state(e.weight, e.spec), [vectors] * 3))
+        worst = max(worst, _worst(values, average_entropy_equal_alpha(key, line)))
         points += len(line)
     for k in range(3):
         for key, top in (("G", 1.0), ("W7", 8 / 9), ("W6", 8 / 9)):
@@ -255,10 +243,8 @@ def ghz_degeneracy(n_triples: int) -> CheckResult:
                 alphas.append(a)
         triples.append(alphas)
     sites = [_site_vectors([alphas[k] for alphas in triples]) for k in range(3)]
-    columns = [_on_grid(average_entropy, state, sites) for state in states]
-    spread = 0.0
-    for values in zip(*columns):
-        spread = max(spread, max(values) - min(values))
+    columns = np.array([average_entropy(embed(state, sites)) for state in states])
+    spread = float(np.max(np.ptp(columns, axis=0), initial=0.0))
     return CheckResult("ghz-family-degeneracy", spread <= tol, spread, tol, n_triples,
                        detail=f"spread across {len(states)} members")
 
@@ -329,8 +315,9 @@ def biseparability() -> CheckResult:
     for c in constructions:
         vec = embed(build_state(c.weight, c.spec), bases)
         ratio = max(ratio, schmidt_ratio(vec, [c.factor_site]))
-        pair = dominant_pair_state(vec, c.factor_site)
-        worst = max(worst, abs(concurrence(pair) - concurrence_closed_form(c.pair_name, 0.5, 0.5)))
+        form = closed_form(catalog(c.pair_name), "concurrence")
+        worst = max(worst, _worst(concurrence(dominant_pair_state(vec, c.factor_site)),
+                                  form([0.5, 0.5])))
     return CheckResult("biseparability", worst <= tol and ratio < 1e-12, worst, tol,
                        len(constructions), detail=f"max schmidt ratio {ratio:.2e} (needs < 1e-12)")
 

@@ -3,7 +3,9 @@ import io
 import itertools
 import json
 import math
+import random
 import tracemalloc
+import warnings
 
 from dataclasses import replace
 
@@ -68,6 +70,7 @@ def test_closed_form_table_covers_exactly_the_documented_names(capsys):
               for signs in itertools.product("+-", repeat=3)
               for spelling in ("".join(signs), "({})".format(",".join(signs)))]
     documented = {"W7", "W7---", "W6-+-", "W6+-+"}
+    rng, swept = random.Random(30), set()
     for name in names:
         entry = catalog(name)
         state = build_state(entry.weight, entry.spec)
@@ -81,6 +84,20 @@ def test_closed_form_table_covers_exactly_the_documented_names(capsys):
         assert ("closed_form" in payload) == has_form, name
         if has_form:
             assert payload["abs_diff"] < 1e-12, name
+        if has_form and entry.name not in swept:
+            # and over a small seeded alpha1 x alpha2 grid, once per canonical name
+            swept.add(entry.name)
+            ranges = ["--range={}:{}".format(*sorted(rng.uniform(-7, 7) for _ in "lh"))
+                      for _ in "12"]
+            fixed = [f"--alpha3={rng.uniform(-7, 7)!r}"] if state.n_sites == 3 else []
+            _, rows = _sweep_rows(capsys, "--name", name, "--measure", measure, "--steps", "4",
+                                  "--var", "alpha1", ranges[0], "--var", "alpha2", ranges[1],
+                                  *fixed)
+            assert len(rows) == 16
+            for *_, value, closed, diff in rows:
+                if value != "nan":
+                    assert closed != "" and float(diff) <= 1e-10, (name, value, closed)
+    assert len(swept) == 40
 
 
 def test_catalog_filter(capsys):
@@ -414,6 +431,19 @@ def test_case_b_closed_form_that_underflows_is_left_out(capsys):
     assert "closed_form" not in payload and abs(payload["value"] - 1) < 1e-15
 
 
+def test_case_b_closed_form_that_overflows_is_left_out(capsys):
+    # 4 s^2 overflows at s = 1e200, so the form reads inf/inf; alpha = -pi/6 is fine
+    code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
+                         "--s", "1e200", "--delta", "1e200", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert "closed_form" not in payload and abs(payload["value"] - 0.6) < 1e-12
+    _, rows = _sweep_rows(capsys, "--name", "B2-", "--measure", "concurrence", "--var", "s",
+                          "--range", "1e200:2e200", "--delta", "1e200", "--steps", "3")
+    assert [row[2:] for row in rows] == [["", ""]] * 3
+    assert all(float(row[1]) > 0.6 - 1e-12 for row in rows)
+
+
 def test_measure_case_b_at_s_zero_names_s(capsys):
     # |delta| <= 2|s| holds at s = delta = 0; the fault is that alpha is undefined
     code, out, err = run(capsys, "measure", "--name", "B2-", "--measure", "concurrence",
@@ -499,6 +529,30 @@ def test_sweep_nan_exactly_at_degenerate_points(capsys):
     assert nan_rows == [50, 150]
     # the closed form is still reported there; only the measured value is NaN
     assert all(row[2] != "" and row[3] == "nan" for row in (rows[50], rows[150]))
+
+
+@pytest.mark.parametrize("name, eps", [("B1-", -1), ("B2-", 1)])
+def test_sweep_leaves_out_the_closed_form_exactly_at_singular_denominators(capsys, name, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rows = _sweep_rows(capsys, "--name", name, "--measure", "concurrence",
+                              "--var", "alpha1", "--range", "0:2pi",
+                              "--var", "alpha2", "--range", "0:2pi", "--steps", "5")
+    singular = [abs(1 + eps * math.sin(float(a1)) * math.sin(float(a2))) < 1e-12
+                for a1, a2, *_ in rows]
+    assert sum(singular) == 2
+    assert [row[3] == "" for row in rows] == singular
+    assert [row[4] == "" for row in rows] == singular
+
+
+def test_sweep_range_whose_width_overflows_is_rejected(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "--name", "B2-", "--measure", "concurrence",
+                             "--var", "alpha", "--range=-1e308:1e308", "--steps", "3",
+                             "--out", "-")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_sweep_case_b_nan_and_empty_cells(capsys):
